@@ -7,24 +7,32 @@ the signed four-measurement combination bounds the CHSH value of every
 completion.  A family whose lower bound exceeds 2 (or upper bound falls
 below -2) would force a CHSH violation on any no-signaling completion.
 
-Two evaluation paths coexist on purpose.  The dataclass path goes through
-one measurement at a time and is convenient for reports and tests; the
-array path evaluates a whole batch of 14-parameter families at once and
-is the optimizer's hot loop (single-core vectorization).  The test suite
-pins them together at 1e-12.
+Two evaluation paths share one closed form, correlations.outcome_terms,
+and one h range.  The dataclass path goes through one measurement at a
+time and is convenient for reports; the array path evaluates a whole
+batch of 14-parameter families at once and is the optimizer's hot loop
+(single-core vectorization).  Because both paths share the closed form,
+the independent check is the Born rule: the test suite rebuilds the
+window from decompose(quantum_joint(...)) and pins it to the batched
+path at 1e-12.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tolerances as tol
-from .correlations import fach_closed_form
+from .correlations import fach_closed_form, outcome_terms
 from .errors import InvalidMarginalError
-from .measurements import BlochSetting, QutritBasis, SettingsFamily
+from .measurements import (BlochSetting, QutritBasis, SettingsFamily,
+                           batched_columns, bloch_vectors)
+
+
+def _h_range(f, a, c):
+    """[-f + |a+c|, f - |a-c|], without the validity check of h_bounds."""
+    return -f + np.abs(a + c), f - np.abs(a - c)
 
 
 def h_bounds(f, a, c):
@@ -39,8 +47,7 @@ def h_bounds(f, a, c):
     c = np.asarray(c, dtype=float)
     if np.any(f < np.maximum(np.abs(a), np.abs(c)) - tol.MARGINAL_FEASIBLE):
         raise InvalidMarginalError("f < max(|a|, |c|): no nonnegative completion")
-    lower = -f + np.abs(a + c)
-    upper = f - np.abs(a - c)
+    lower, upper = _h_range(f, a, c)
     if f.ndim == 0:
         return float(lower), float(upper)
     return lower, upper
@@ -99,70 +106,25 @@ def family_bounds(alpha: float, fam: SettingsFamily) -> FamilyBounds:
         chsh_upper=m11.upper_sum + m12.upper_sum + m21.upper_sum - m22.lower_sum)
 
 
-def _batched_bloch(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    st = np.sin(theta)
-    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)],
-                    axis=-1)
-
-
-def _batched_givens(n: int, j: int, k: int, theta: np.ndarray,
-                    phi: np.ndarray) -> np.ndarray:
-    g = np.zeros((theta.shape[0], 3, 3), dtype=np.complex128)
-    g[:, 0, 0] = g[:, 1, 1] = g[:, 2, 2] = 1.0
-    c = np.cos(theta)
-    s = np.sin(theta)
-    e = np.exp(1j * phi)
-    g[:, j, j] = c
-    g[:, k, k] = c
-    g[:, j, k] = -s * e
-    g[:, k, j] = s * e.conj()
-    return g
-
-
-def batched_columns(b_angles: np.ndarray) -> np.ndarray:
-    """Batched qutrit basis matrices, shape (R, 3, 3), from (R, 6) angles."""
-    t1, p1, t2, p2, t3, p3 = (b_angles[:, i] for i in range(6))
-    return (_batched_givens(3, 0, 1, t1, p1)
-            @ _batched_givens(3, 0, 2, t2, p2)
-            @ _batched_givens(3, 1, 2, t3, p3))
-
-
 def family_chsh_bounds(alpha: float, params: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray]:
     """(chsh_lower, chsh_upper) for a batch of parameter vectors.
 
     params has shape (R, 14) laid out as SettingsFamily.to_params; the
     result is a pair of (R,) arrays.  Same math as family_bounds, fused
-    across the batch; the two paths agree to 1e-12 by test.
+    across the batch; the test suite checks it against the Born rule.
     """
     p = np.asarray(params, dtype=float)
     if p.ndim == 1:
         p = p[None, :]
-    na1 = _batched_bloch(p[:, 0], p[:, 1])
-    na2 = _batched_bloch(p[:, 2], p[:, 3])
-    nc1 = _batched_bloch(p[:, 4], p[:, 5])
-    nc2 = _batched_bloch(p[:, 6], p[:, 7])
-    u = batched_columns(p[:, 8:14])
-    b0, b1, b2 = u[:, 0, :], u[:, 1, :], u[:, 2, :]
-    n0 = b0.real ** 2 + b0.imag ** 2
-    n1 = b1.real ** 2 + b1.imag ** 2
-    n2 = b2.real ** 2 + b2.imag ** 2
-    ca2 = math.cos(alpha) ** 2
-    sa2 = math.sin(alpha) ** 2
-    s2a = math.sin(2.0 * alpha)
-    f = ca2 * n2 + 0.5 * sa2 * (1.0 - n2)
-    w = b0 * b2.conj() + b2 * b1.conj()
-    g = np.stack([0.5 * s2a * w.real, 0.5 * s2a * w.imag,
-                  0.5 * sa2 * (n0 - n1)], axis=-1)      # (R, outcome, axis)
-    a1 = np.einsum("rba,ra->rb", g, na1)
-    a2 = np.einsum("rba,ra->rb", g, na2)
-    c1 = np.einsum("rba,ra->rb", g, nc1)
-    c2 = np.einsum("rba,ra->rb", g, nc2)
+    f, g = outcome_terms(alpha, batched_columns(p[:, 8:14]))
+    a1, a2, c1, c2 = (np.einsum("rba,ra->rb", g,
+                                bloch_vectors(p[:, 2 * i], p[:, 2 * i + 1]))
+                      for i in range(4))
 
     def pair(ai, cj):
-        lower = np.sum(-f + np.abs(ai + cj), axis=1)
-        upper = np.sum(f - np.abs(ai - cj), axis=1)
-        return lower, upper
+        lower, upper = _h_range(f, ai, cj)
+        return np.sum(lower, axis=1), np.sum(upper, axis=1)
 
     l11, u11 = pair(a1, c1)
     l12, u12 = pair(a1, c2)

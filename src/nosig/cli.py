@@ -17,6 +17,7 @@ import sys
 
 import numpy as np
 
+from . import tolerances as tol
 from .bounds import family_bounds
 from .correlations import (correlator, decompose, horodecki_chsh_max,
                            quantum_joint)
@@ -249,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="start:end:n (angles, pi allowed) or comma list")
     p.add_argument("--restarts", type=int, default=200)
     p.add_argument("--max-iters", type=int, default=2000)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=tol.SIMPLEX_DIAMETER)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -25,8 +25,8 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import InvalidInputError
-from .measurements import BlochSetting, QutritBasis, SettingsFamily, \
-    qubit_projector, qutrit_unitary
+from .measurements import _PAULI, BlochSetting, QutritBasis, \
+    SettingsFamily, qubit_projector, qutrit_unitary
 from .qlinalg import check_density, hermitian_eigenvalues
 from .states import psi
 
@@ -59,14 +59,8 @@ def born_joint3(state: np.ndarray, dims: tuple[int, int, int],
     the documented round-off policy.
     """
     t = np.asarray(state, dtype=np.complex128).reshape(dims)
-    sets = [list(ps) for ps in projector_sets]
-    out = np.empty((len(sets[0]), len(sets[1]), len(sets[2])))
-    for i, pa in enumerate(sets[0]):
-        for j, pb in enumerate(sets[1]):
-            for k, pc in enumerate(sets[2]):
-                val = np.einsum("ijk,il,jm,kn,lmn->",
-                                t.conj(), pa, pb, pc, t)
-                out[i, j, k] = val.real
+    pa, pb, pc = (np.stack(list(ps)) for ps in projector_sets)
+    out = np.einsum("ijk,ail,bjm,ckn,lmn->abc", t.conj(), pa, pb, pc, t).real
     return clamp_probabilities(out)
 
 
@@ -112,25 +106,38 @@ def recompose(d: Decomposition) -> np.ndarray:
                    + sc * d.c[None, :, None] + sa * sc * d.h[None, :, None])
 
 
-def fach_from_columns(alpha: float, bloch_a, columns: np.ndarray,
-                      bloch_c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form (f, a, c) per trit outcome, from explicit basis columns.
+def outcome_terms(alpha: float, columns: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form f and bias vectors g per trit outcome, batched.
 
-    bloch_a / bloch_c are 3-vectors on the unit sphere; columns is a 3x3
-    complex matrix whose columns are the qutrit eigenvectors.  Everything
-    downstream depends on the columns only through |b_i|^2 and
+    columns has shape (..., 3, 3) and holds the qutrit eigenvectors as
+    columns.  Returns f of shape (..., 3) and g of shape (..., outcome,
+    axis): the qubit bias of outcome b along Bloch vector n is g[b] . n.
+    Everything depends on the columns only through |b_i|^2 and
     b0 b2* + b2 b1*, so per-column phases drop out.
     """
     ca2 = math.cos(alpha) ** 2
     sa2 = math.sin(alpha) ** 2
     s2a = math.sin(2.0 * alpha)
-    b0, b1, b2 = columns[0, :], columns[1, :], columns[2, :]
-    n0, n1, n2 = np.abs(b0) ** 2, np.abs(b1) ** 2, np.abs(b2) ** 2
-    w = b0 * b2.conj() + b2 * b1.conj()
-    g = np.stack([0.5 * s2a * w.real,
-                  0.5 * s2a * w.imag,
-                  0.5 * sa2 * (n0 - n1)], axis=1)      # (3 outcomes, 3 axes)
+    b0, b1, b2 = columns[..., 0, :], columns[..., 1, :], columns[..., 2, :]
+    n0 = b0.real ** 2 + b0.imag ** 2
+    n1 = b1.real ** 2 + b1.imag ** 2
+    n2 = b2.real ** 2 + b2.imag ** 2
     f = ca2 * n2 + 0.5 * sa2 * (1.0 - n2)
+    w = b0 * b2.conj() + b2 * b1.conj()
+    g = np.stack([0.5 * s2a * w.real, 0.5 * s2a * w.imag,
+                  0.5 * sa2 * (n0 - n1)], axis=-1)
+    return f, g
+
+
+def fach_from_columns(alpha: float, bloch_a, columns: np.ndarray,
+                      bloch_c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form (f, a, c) per trit outcome, from explicit basis columns.
+
+    bloch_a / bloch_c are 3-vectors on the unit sphere; columns is a 3x3
+    complex matrix whose columns are the qutrit eigenvectors.
+    """
+    f, g = outcome_terms(alpha, np.asarray(columns))
     return f, g @ np.asarray(bloch_a, dtype=float), g @ np.asarray(bloch_c, dtype=float)
 
 
@@ -162,21 +169,10 @@ def chsh_value(alpha: float, fam: SettingsFamily) -> float:
             + e(fam.a2, fam.c1) - e(fam.a2, fam.c2))
 
 
-_PAULI3 = (
-    np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    np.array([[1, 0], [0, -1]], dtype=np.complex128),
-)
-
-
 def correlation_matrix(rho: np.ndarray) -> np.ndarray:
     """T_ij = Tr[rho sigma_i x sigma_j] for a two-qubit state."""
-    r = np.asarray(rho, dtype=np.complex128)
-    t = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            t[i, j] = np.trace(r @ np.kron(_PAULI3[i], _PAULI3[j])).real
-    return t
+    r = np.asarray(rho, dtype=np.complex128).reshape(2, 2, 2, 2)
+    return np.einsum("cdab,iac,jbd->ij", r, _PAULI, _PAULI).real
 
 
 def horodecki_chsh_max(rho: np.ndarray) -> float:

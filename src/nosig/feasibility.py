@@ -14,6 +14,7 @@ joint distribution exists, so a model without local variables signals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,41 +142,37 @@ def _phase_one_simplex(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]
     return float(optimum), x
 
 
+def _marginal_rows(spec: MarginalSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Equality constraints A x = b on the C-order flattened joint x.
+
+    A pair table fixes the joint summed over the third party, so its rows
+    are the identity on the two kept parties broadcast along the summed
+    one: the Kronecker product of identities with a row of ones, built by
+    broadcasting because np.kron is several times slower at these sizes.
+    """
+    shape = (spec.n_a, spec.n_b, spec.n_c)
+    rows, rhs = [np.zeros((0, math.prod(shape)))], [np.zeros(0)]
+    for table, summed in ((spec.ab, 2), (spec.bc, 0),
+                          (spec.effective_ac(), 1)):
+        if table is not None:
+            kept = table.shape[:summed] + (1,) + table.shape[summed:]
+            eye = np.eye(table.size).reshape(table.size, *kept)
+            rows.append(np.broadcast_to(eye, (table.size, *shape))
+                        .reshape(table.size, -1))
+            rhs.append(table.ravel())
+    return np.vstack(rows), np.concatenate(rhs)
+
+
 def joint_feasible(spec: MarginalSpec) -> FeasibilityResult:
     """Decide whether any joint distribution matches the given tables."""
-    na, nb, nc = spec.n_a, spec.n_b, spec.n_c
-    n = na * nb * nc
-    rows_a, rows_b = [], []
-
-    def var(ia, ib, ic):
-        return (ia * nb + ib) * nc + ic
-
-    def add_pair(table, pair):
-        if table is None:
-            return
-        for i in range(table.shape[0]):
-            for j in range(table.shape[1]):
-                row = np.zeros(n)
-                for k in range(nb if pair == "ac" else (nc if pair == "ab" else na)):
-                    if pair == "ab":
-                        row[var(i, j, k)] = 1.0
-                    elif pair == "bc":
-                        row[var(k, i, j)] = 1.0
-                    else:
-                        row[var(i, k, j)] = 1.0
-                rows_a.append(row)
-                rows_b.append(table[i, j])
-
-    add_pair(spec.ab, "ab")
-    add_pair(spec.bc, "bc")
-    add_pair(spec.effective_ac(), "ac")
-    if not rows_a:
-        uniform = np.full((na, nb, nc), 1.0 / n)
+    a, b = _marginal_rows(spec)
+    shape = (spec.n_a, spec.n_b, spec.n_c)
+    if b.size == 0:
+        uniform = np.full(shape, 1.0 / a.shape[1])
         return FeasibilityResult(feasible=True, witness=uniform, residual=0.0)
-    optimum, x = _phase_one_simplex(np.array(rows_a), np.array(rows_b))
+    optimum, x = _phase_one_simplex(a, b)
     if optimum <= tol.LP_FEASIBLE:
-        return FeasibilityResult(feasible=True,
-                                 witness=x.reshape(na, nb, nc),
+        return FeasibilityResult(feasible=True, witness=x.reshape(shape),
                                  residual=optimum)
     return FeasibilityResult(feasible=False, witness=None, residual=optimum)
 

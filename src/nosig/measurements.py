@@ -4,6 +4,9 @@ Qubits carry the usual Bloch-sphere chart (theta, phi); the qutrit basis
 is the column set of a product of three phased Givens rotations acting on
 coordinate pairs (0,1), (0,2), (1,2).  Six angles cover every orthonormal
 basis up to per-column phases, which no downstream quantity depends on.
+The Givens chart is written once, batched over rows; a single basis is a
+batch of one.  The Bloch chart has a scalar form for single settings and
+a batched form for the optimizer's hot loop.
 """
 
 from __future__ import annotations
@@ -65,11 +68,9 @@ class SettingsFamily:
             b=QutritBasis(tuple(p[8:14])))
 
 
-_PAULI = (
-    np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    np.array([[1, 0], [0, -1]], dtype=np.complex128),
-)
+_PAULI = np.array([[[0, 1], [1, 0]],
+                   [[0, -1j], [1j, 0]],
+                   [[1, 0], [0, -1]]], dtype=np.complex128)  # (axis, 2, 2)
 
 
 def qubit_projector(s: BlochSetting, outcome: int) -> np.ndarray:
@@ -81,25 +82,40 @@ def qubit_projector(s: BlochSetting, outcome: int) -> np.ndarray:
     return 0.5 * (np.eye(2, dtype=np.complex128) + outcome * n_sigma)
 
 
-def _givens(dim: int, j: int, k: int, theta: float, phi: float) -> np.ndarray:
-    """Phased Givens rotation on coordinates (j, k): cos on the diagonal,
-    -e^{i phi} sin and e^{-i phi} sin off it."""
-    g = np.eye(dim, dtype=np.complex128)
-    c, s = math.cos(theta), math.sin(theta)
-    e = complex(math.cos(phi), math.sin(phi))
-    g[j, j] = c
-    g[k, k] = c
-    g[j, k] = -s * e
-    g[k, j] = s * e.conjugate()
+def bloch_vectors(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Batched Bloch chart: unit vectors of shape theta.shape + (3,)."""
+    st = np.sin(theta)
+    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)],
+                    axis=-1)
+
+
+def _givens(j: int, k: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Batched phased Givens rotations on coordinates (j, k), shape (R, 3, 3):
+    cos on the diagonal, -e^{i phi} sin and e^{-i phi} sin off it."""
+    g = np.zeros((theta.shape[0], 3, 3), dtype=np.complex128)
+    g[:, 0, 0] = g[:, 1, 1] = g[:, 2, 2] = 1.0
+    c = np.cos(theta)
+    s = np.sin(theta)
+    e = np.exp(1j * phi)
+    g[:, j, j] = c
+    g[:, k, k] = c
+    g[:, j, k] = -s * e
+    g[:, k, j] = s * e.conj()
     return g
 
 
+def batched_columns(b_angles: np.ndarray) -> np.ndarray:
+    """Batched qutrit basis matrices, shape (R, 3, 3), from (R, 6) angles:
+    G01(t1,p1) @ G02(t2,p2) @ G12(t3,p3) per row."""
+    t1, p1, t2, p2, t3, p3 = (b_angles[:, i] for i in range(6))
+    return (_givens(0, 1, t1, p1)
+            @ _givens(0, 2, t2, p2)
+            @ _givens(1, 2, t3, p3))
+
+
 def qutrit_unitary(q: QutritBasis) -> np.ndarray:
-    """G01(t1,p1) @ G02(t2,p2) @ G12(t3,p3); columns are the basis."""
-    t1, p1, t2, p2, t3, p3 = q.angles
-    return (_givens(3, 0, 1, t1, p1)
-            @ _givens(3, 0, 2, t2, p2)
-            @ _givens(3, 1, 2, t3, p3))
+    """The basis matrix of one qutrit setting; columns are the basis."""
+    return batched_columns(np.array([q.angles]))[0]
 
 
 def qutrit_basis_vectors(q: QutritBasis) -> list[np.ndarray]:

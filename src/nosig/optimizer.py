@@ -25,16 +25,17 @@ import numpy as np
 from .bounds import family_chsh_bounds
 from .errors import InvalidInputError
 from .measurements import SettingsFamily
+from .tolerances import SIMPLEX_DIAMETER
 
 _SIMPLEX_STEP = 0.3
-_LOWER, _UPPER = 0, 1  # direction ids for stream derivation
+_LOWER, _UPPER = 0, 1  # direction ids: stream key and family_chsh_bounds index
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     restarts: int = 200
     max_iters: int = 2000
-    tol: float = 1e-10
+    tol: float = SIMPLEX_DIAMETER
     seed: int = 0
     alpha_grid: tuple[float, ...] = field(default_factory=tuple)
 
@@ -72,14 +73,12 @@ class SweepRecord:
 
 
 def nelder_mead_batch(objective, x0: np.ndarray, *, max_iters: int,
-                      tol: float, step: float = _SIMPLEX_STEP,
-                      history: list | None = None):
+                      tol: float, step: float = _SIMPLEX_STEP):
     """Minimize objective over a batch of starts advanced in lockstep.
 
     objective maps an (N, d) array to (N,) values; x0 is (R, d).  Returns
     (best points (R, d), best values (R,), iterations used (R,)).  A row
-    freezes once its simplex diameter (max-norm) drops below tol.  When
-    history is a list, the per-row best value is appended each iteration.
+    freezes once its simplex diameter (max-norm) drops below tol.
     """
     x0 = np.asarray(x0, dtype=float)
     r, d = x0.shape
@@ -99,8 +98,6 @@ def nelder_mead_batch(objective, x0: np.ndarray, *, max_iters: int,
         idx = np.nonzero(active)[0]
         if idx.size == 0:
             break
-        if history is not None:
-            history.append(f[:, 0].copy())
         xa, fa = x[idx], f[idx]
         centroid = np.mean(xa[:, :d, :], axis=1)
         xw, fw = xa[:, d, :], fa[:, d]
@@ -201,30 +198,31 @@ def _best(values: np.ndarray, points: np.ndarray, iters: np.ndarray,
                               iterations=int(iters.sum()), restarts=restarts)
 
 
+def _search(alpha: float, cfg: OptimizerConfig, grid_index: int,
+            direction: int) -> OptimizationResult:
+    """Multi-start search minimizing sign * bound, where the bound is
+    family_chsh_bounds(...)[direction] and sign flips the lower bound."""
+    sign = -1.0 if direction == _LOWER else 1.0
+
+    def objective(p):
+        return sign * family_chsh_bounds(alpha, p)[direction]
+
+    pts, vals, iters = nelder_mead_batch(
+        objective, _starts(cfg, grid_index, direction),
+        max_iters=cfg.max_iters, tol=cfg.tol)
+    return _best(vals, pts, iters, sign, cfg.restarts)
+
+
 def maximize_chsh_lower(alpha: float, cfg: OptimizerConfig,
                         grid_index: int = 0) -> OptimizationResult:
     """Best (largest) CHSH lower bound over measurement families."""
-
-    def objective(p):
-        return -family_chsh_bounds(alpha, p)[0]
-
-    pts, vals, iters = nelder_mead_batch(
-        objective, _starts(cfg, grid_index, _LOWER),
-        max_iters=cfg.max_iters, tol=cfg.tol)
-    return _best(vals, pts, iters, -1.0, cfg.restarts)
+    return _search(alpha, cfg, grid_index, _LOWER)
 
 
 def minimize_chsh_upper(alpha: float, cfg: OptimizerConfig,
                         grid_index: int = 0) -> OptimizationResult:
     """Best (smallest) CHSH upper bound over measurement families."""
-
-    def objective(p):
-        return family_chsh_bounds(alpha, p)[1]
-
-    pts, vals, iters = nelder_mead_batch(
-        objective, _starts(cfg, grid_index, _UPPER),
-        max_iters=cfg.max_iters, tol=cfg.tol)
-    return _best(vals, pts, iters, 1.0, cfg.restarts)
+    return _search(alpha, cfg, grid_index, _UPPER)
 
 
 def sweep(cfg: OptimizerConfig) -> list[SweepRecord]:

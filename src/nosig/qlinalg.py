@@ -1,16 +1,14 @@
 """Small-dimension complex linear algebra.
 
-Everything in this module operates on plain numpy arrays (complex128).
-Total Hilbert-space dimensions in this project never exceed 48, and the
-matrices we diagonalize never exceed 6x6, so simplicity beats asymptotics
-throughout: the Hermitian eigensolver is a cyclic Jacobi iteration rather
-than anything QR-shaped.
+Everything in this module operates on plain numpy arrays (complex128):
+validation of Hermitian and density matrices, partial traces, subsystem
+permutations and Hermitian eigenvalues, the last through numpy's eigvalsh.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,44 +23,19 @@ def as_complex_matrix(m) -> np.ndarray:
     return a
 
 
-def as_complex_vector(v) -> np.ndarray:
-    a = np.asarray(v, dtype=np.complex128)
-    if a.ndim != 1:
-        raise InvalidInputError(f"expected a 1-d vector, got ndim={a.ndim}")
-    return a
-
-
-def dagger(m: np.ndarray) -> np.ndarray:
-    return np.conj(m.T)
-
-
-def check_unit(v, atol: float = tol.UNIT_NORM) -> np.ndarray:
-    """Validate that v is a unit vector; returns it as complex128."""
-    a = as_complex_vector(v)
-    nrm = float(np.vdot(a, a).real)
-    if abs(nrm - 1.0) > atol:
-        raise InvalidInputError(f"vector is not unit: <v|v> = {nrm!r}")
-    return a
-
-
 def check_hermitian(m, atol: float = tol.HERMITIAN) -> np.ndarray:
     """Validate that m is Hermitian within Frobenius tolerance."""
     a = as_complex_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise InvalidInputError(f"matrix is not square: shape={a.shape}")
-    if float(np.linalg.norm(a - dagger(a))) > atol:
+    if float(np.linalg.norm(a - a.conj().T)) > atol:
         raise InvalidInputError("matrix is not hermitian within tolerance")
     return a
 
 
 def check_density(m, trace_atol: float = tol.DENSITY_TRACE,
                   eig_floor: float = tol.DENSITY_MIN_EIG) -> np.ndarray:
-    """Validate that m is a density matrix: Hermitian, unit trace, PSD.
-
-    Positivity is checked with the Jacobi eigensolver, so this only
-    accepts matrices of dimension <= 6 (all density matrices handled by
-    this project are).
-    """
+    """Validate that m is a density matrix: Hermitian, unit trace, PSD."""
     a = check_hermitian(m)
     tr = complex(np.trace(a))
     if abs(tr - 1.0) > trace_atol:
@@ -71,20 +44,6 @@ def check_density(m, trace_atol: float = tol.DENSITY_TRACE,
     if eigs[0] < eig_floor:
         raise InvalidInputError(f"minimum eigenvalue {eigs[0]!r} below floor")
     return a
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two matrices."""
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))
-
-
-def kron_all(mats: Iterable[np.ndarray]) -> np.ndarray:
-    out = None
-    for m in mats:
-        out = as_complex_matrix(m) if out is None else np.kron(out, m)
-    if out is None:
-        raise InvalidInputError("kron_all needs at least one factor")
-    return out
 
 
 def partial_trace(rho, dims: Sequence[int], keep) -> np.ndarray:
@@ -142,56 +101,6 @@ def frobenius_distance(a, b) -> float:
     return float(np.linalg.norm(ma - mb))
 
 
-def hermitian_eigenvalues(m, offdiag_tol: float = tol.JACOBI_OFFDIAG,
-                          max_sweeps: int = 60) -> list[float]:
-    """Eigenvalues of a Hermitian matrix (dim <= 6), ascending.
-
-    Cyclic Jacobi iteration for complex Hermitian matrices: each rotation
-    zeroes one off-diagonal pair using a phased Givens rotation, and sweeps
-    repeat until the off-diagonal Frobenius mass drops below offdiag_tol.
-    Quadratic convergence makes the sweep cap generous.
-    """
-    a = check_hermitian(m).copy()
-    n = a.shape[0]
-    if n > 6:
-        raise InvalidInputError(f"Jacobi eigensolver limited to dim <= 6, got {n}")
-    if n == 1:
-        return [float(a[0, 0].real)]
-
-    def offdiag_mass(x: np.ndarray) -> float:
-        off = x - np.diag(np.diag(x))
-        return float(np.linalg.norm(off))
-
-    for _ in range(max_sweeps):
-        if offdiag_mass(a) <= offdiag_tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r == 0.0:
-                    continue
-                phase = apq / r                      # e^{i beta}
-                app = a[p, p].real
-                aqq = a[q, q].real
-                # Zero the (p, q) entry: rotate by theta with
-                # tan(2 theta) solving r*cos2t + (aqq-app)*sin2t/2 = 0.
-                tau = (aqq - app) / (2.0 * r)
-                if tau >= 0.0:
-                    t = -1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = 1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # J = I with J[p,p]=c, J[p,q]=-s*phase, J[q,p]=s*conj(phase),
-                # J[q,q]=c; update a <- J^dagger a J on rows/cols p, q.
-                col_p = c * a[:, p] + s * np.conj(phase) * a[:, q]
-                col_q = -s * phase * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = col_p, col_q
-                row_p = c * a[p, :] + s * phase * a[q, :]
-                row_q = -s * np.conj(phase) * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = row_p, row_q
-    else:
-        raise RuntimeError("Jacobi iteration failed to converge")
-
-    return sorted(float(x) for x in np.diag(a).real)
+def hermitian_eigenvalues(m) -> list[float]:
+    """Eigenvalues of a Hermitian matrix, ascending."""
+    return [float(x) for x in np.linalg.eigvalsh(check_hermitian(m))]

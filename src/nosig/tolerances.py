@@ -1,16 +1,15 @@
 """Central numerical tolerance table.
 
 Every module pulls its default tolerance from here so that the whole
-artifact can be audited (or tightened) in one place.  The CLI exposes
-``--tol`` which overrides SIMPLEX_DIAMETER for a single run; the other
-entries are compile-time defaults.
+artifact can be audited (or tightened) in one place.  SIMPLEX_DIAMETER is
+the default of OptimizerConfig.tol and of the CLI's ``--tol``, so a run
+can set its own Nelder-Mead tolerance; the other entries are fixed.
 """
 
 UNIT_NORM = 1e-12          # |<v|v> - 1| for vectors flagged unit
 HERMITIAN = 1e-12          # Frobenius norm of M - M^dagger
 DENSITY_TRACE = 1e-12      # |tr(rho) - 1|
 DENSITY_MIN_EIG = -1e-10   # eigenvalue floor for density matrices
-JACOBI_OFFDIAG = 1e-13     # off-diagonal Frobenius mass at convergence
 PROB_CLAMP = 1e-12         # Born-rule negatives clamped to 0 within this
 PROB_SUM = 1e-10           # distribution normalization check
 MARGINAL_FEASIBLE = 1e-10  # slack allowed in F >= max(|A|, |C|)

@@ -159,6 +159,41 @@ class TestBatchedPath:
             assert lo[0] == pytest.approx(fb.chsh_lower, abs=1e-12)
             assert up[0] == pytest.approx(fb.chsh_upper, abs=1e-12)
 
+    def test_born_rule_oracle(self):
+        # family_bounds shares the batched closed form, so the independent
+        # reference is the window rebuilt from Born-rule statistics
+        rng = np.random.default_rng(52)
+        for _ in range(60):
+            alpha = rng.uniform(0, math.pi / 2)
+            p = rng.uniform(-2, 8, 14)
+            fam = SettingsFamily.from_params(p)
+
+            def window(a, c):
+                d = decompose(quantum_joint(alpha, a, fam.b, c))
+                lo, up = h_bounds(d.f, d.a, d.c)
+                return np.sum(lo), np.sum(up)
+
+            l11, u11 = window(fam.a1, fam.c1)
+            l12, u12 = window(fam.a1, fam.c2)
+            l21, u21 = window(fam.a2, fam.c1)
+            l22, u22 = window(fam.a2, fam.c2)
+            lo, up = family_chsh_bounds(alpha, p[None, :])
+            assert lo[0] == pytest.approx(l11 + l12 + l21 - u22, abs=1e-12)
+            assert up[0] == pytest.approx(u11 + u12 + u21 - l22, abs=1e-12)
+
+    def test_antipodal_c_flips_window(self):
+        # C -> -C swaps a + c and a - c, so the window maps to its negative
+        rng = np.random.default_rng(53)
+        for alpha in (0.0, 0.3, 0.9, math.pi / 2):
+            p = rng.uniform(0, 2 * math.pi, (500, 14))
+            flipped = p.copy()
+            flipped[:, [4, 6]] = math.pi - p[:, [4, 6]]
+            flipped[:, [5, 7]] = p[:, [5, 7]] + math.pi
+            lo, up = family_chsh_bounds(alpha, p)
+            lo_f, up_f = family_chsh_bounds(alpha, flipped)
+            assert np.max(np.abs(up_f + lo)) < 1e-14
+            assert np.max(np.abs(lo_f + up)) < 1e-14
+
     def test_batch_rows_independent(self):
         rng = np.random.default_rng(50)
         batch = rng.uniform(0, 2 * math.pi, (30, 14))

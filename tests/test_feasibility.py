@@ -5,7 +5,7 @@ import pytest
 
 from nosig.errors import InvalidInputError
 from nosig.feasibility import (FeasibilityResult, MarginalSpec,
-                               joint_feasible, theorem1_check)
+                               _marginal_rows, joint_feasible, theorem1_check)
 
 GHZ_DIAG = np.diag([0.5, 0.5])
 
@@ -63,6 +63,43 @@ class TestMarginalSpecValidation:
         spec = MarginalSpec(n_a=2, n_b=2, n_c=2, ab=GHZ_DIAG, bc=GHZ_DIAG,
                             ac_product=True)
         assert np.allclose(spec.effective_ac(), np.full((2, 2), 0.25))
+
+
+def loop_rows(spec):
+    # one row per table entry, filled index by index
+    na, nb, nc = spec.n_a, spec.n_b, spec.n_c
+    rows, rhs = [], []
+    for table, pair in ((spec.ab, "ab"), (spec.bc, "bc"),
+                        (spec.effective_ac(), "ac")):
+        if table is None:
+            continue
+        for i in range(table.shape[0]):
+            for j in range(table.shape[1]):
+                row = np.zeros((na, nb, nc))
+                if pair == "ab":
+                    row[i, j, :] = 1.0
+                elif pair == "bc":
+                    row[:, i, j] = 1.0
+                else:
+                    row[i, :, j] = 1.0
+                rows.append(row.ravel())
+                rhs.append(table[i, j])
+    return np.array(rows), np.array(rhs)
+
+
+class TestMarginalRows:
+    @pytest.mark.parametrize("shape", [(2, 3, 2), (3, 2, 4), (2, 2, 2)])
+    def test_kronecker_rows_match_loop(self, shape):
+        rng = np.random.default_rng(67)
+        ab, bc, ac = tables_of(random_joint(rng, shape))
+        for kwargs in (dict(ab=ab, bc=bc, ac=ac), dict(ab=ab, bc=bc,
+                                                       ac_product=True),
+                       dict(bc=bc), dict(ac=ac)):
+            spec = MarginalSpec(*shape, **kwargs)
+            a, b = _marginal_rows(spec)
+            want_a, want_b = loop_rows(spec)
+            assert np.array_equal(a, want_a)
+            assert np.array_equal(b, want_b)
 
 
 class TestJointFeasible:
