@@ -7,14 +7,13 @@ the signed four-measurement combination bounds the CHSH value of every
 completion.  A family whose lower bound exceeds 2 (or upper bound falls
 below -2) would force a CHSH violation on any no-signaling completion.
 
-Two evaluation paths share one closed form, correlations.outcome_terms,
-and one h range.  The dataclass path goes through one measurement at a
-time and is convenient for reports; the array path evaluates a whole
-batch of 14-parameter families at once and is the optimizer's hot loop
-(single-core vectorization).  Because both paths share the closed form,
-the independent check is the Born rule: the test suite rebuilds the
-window from decompose(quantum_joint(...)) and pins it to the batched
-path at 1e-12.
+One batched kernel gives the per-outcome h ranges of the four
+measurement pairs.  family_chsh_bounds sums them over a batch of
+14-parameter families (the optimizer's hot loop); family_bounds is a
+batch of one.  measurement_bounds is the checked per-triple path.  All
+share the closed form correlations.outcome_terms, so the independent
+check is the Born rule: the test suite rebuilds the window from
+decompose(quantum_joint(...)) and pins both paths to it at 1e-12.
 """
 
 from __future__ import annotations
@@ -94,16 +93,32 @@ class FamilyBounds:
                 or self.chsh_upper < -2.0 - tol.VIOLATION_STRICT)
 
 
+def _pair_ranges(alpha: float, p: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-outcome h ranges (lower, upper), each (R, 4, 3), of the
+    measurement pairs 11, 12, 21, 22 for (R, 14) parameter rows."""
+    f, g = outcome_terms(alpha, batched_columns(p[:, 8:14]))
+    # biases of a1, a2, c1, c2 along their Bloch vectors, (R, 4, outcome)
+    bias = np.einsum("rba,rka->rkb", g, bloch_vectors(p[:, 0:8:2], p[:, 1:8:2]))
+    return _h_range(f[:, None, :], bias[:, [0, 0, 1, 1]], bias[:, [2, 3, 2, 3]])
+
+
+def _chsh_window(lower_sum, upper_sum):
+    """(L11 + L12 + L21 - U22, U11 + U12 + U21 - L22); last axis: pair."""
+    lo, up = lower_sum.T, upper_sum.T
+    return lo[0] + lo[1] + lo[2] - up[3], up[0] + up[1] + up[2] - lo[3]
+
+
 def family_bounds(alpha: float, fam: SettingsFamily) -> FamilyBounds:
     """CHSH bound window of a four-measurement family with shared B basis."""
-    m11 = measurement_bounds(alpha, fam.a1, fam.b, fam.c1)
-    m12 = measurement_bounds(alpha, fam.a1, fam.b, fam.c2)
-    m21 = measurement_bounds(alpha, fam.a2, fam.b, fam.c1)
-    m22 = measurement_bounds(alpha, fam.a2, fam.b, fam.c2)
+    lower, upper = _pair_ranges(alpha, np.array([fam.to_params()]))
+    lower_sum, upper_sum = np.sum(lower[0], axis=1), np.sum(upper[0], axis=1)
+    chsh_lower, chsh_upper = _chsh_window(lower_sum, upper_sum)
     return FamilyBounds(
-        m11=m11, m12=m12, m21=m21, m22=m22,
-        chsh_lower=m11.lower_sum + m12.lower_sum + m21.lower_sum - m22.upper_sum,
-        chsh_upper=m11.upper_sum + m12.upper_sum + m21.upper_sum - m22.lower_sum)
+        *(BoundsReport(lower_b=lower[0, k], upper_b=upper[0, k],
+                       lower_sum=float(lower_sum[k]),
+                       upper_sum=float(upper_sum[k])) for k in range(4)),
+        chsh_lower=float(chsh_lower), chsh_upper=float(chsh_upper))
 
 
 def family_chsh_bounds(alpha: float, params: np.ndarray
@@ -111,23 +126,11 @@ def family_chsh_bounds(alpha: float, params: np.ndarray
     """(chsh_lower, chsh_upper) for a batch of parameter vectors.
 
     params has shape (R, 14) laid out as SettingsFamily.to_params; the
-    result is a pair of (R,) arrays.  Same math as family_bounds, fused
-    across the batch; the test suite checks it against the Born rule.
+    result is a pair of (R,) arrays.  family_bounds is the same kernel on
+    a batch of one; the test suite checks both against the Born rule.
     """
     p = np.asarray(params, dtype=float)
     if p.ndim == 1:
         p = p[None, :]
-    f, g = outcome_terms(alpha, batched_columns(p[:, 8:14]))
-    a1, a2, c1, c2 = (np.einsum("rba,ra->rb", g,
-                                bloch_vectors(p[:, 2 * i], p[:, 2 * i + 1]))
-                      for i in range(4))
-
-    def pair(ai, cj):
-        lower, upper = _h_range(f, ai, cj)
-        return np.sum(lower, axis=1), np.sum(upper, axis=1)
-
-    l11, u11 = pair(a1, c1)
-    l12, u12 = pair(a1, c2)
-    l21, u21 = pair(a2, c1)
-    l22, u22 = pair(a2, c2)
-    return l11 + l12 + l21 - u22, u11 + u12 + u21 - l22
+    lower, upper = _pair_ranges(alpha, p)
+    return _chsh_window(np.sum(lower, axis=2), np.sum(upper, axis=2))

@@ -2,10 +2,13 @@
 
 The two objectives (maximize the CHSH lower bound, minimize the upper
 bound) contain absolute values, so a derivative-free simplex method with
-standard coefficients (reflection 1, expansion 2, contraction 1/2,
-shrink 1/2) is used.  All restarts of one search advance in lockstep as
-rows of a batch so the hot loop is numpy array code rather than a Python
-loop per restart; converged rows freeze while the rest continue.
+standard coefficients is used.  Each trial point is centroid + coef *
+(centroid - worst) with coef 1 (reflection), 2 (expansion), 1/2 or -1/2
+(outside and inside contraction, evaluated in one objective call); a
+failed contraction shrinks the simplex by 1/2 towards its best vertex.
+All restarts of one search advance in lockstep as rows of a batch so the
+hot loop is numpy array code rather than a Python loop per restart;
+converged rows freeze while the rest continue.
 
 Determinism: restart r of grid point i draws from a private stream
 seeded by (seed XOR i) with spawn key (direction, r), so runs with the
@@ -89,50 +92,42 @@ def nelder_mead_batch(objective, x0: np.ndarray, *, max_iters: int,
     iters = np.zeros(r, dtype=int)
     active = np.ones(r, dtype=bool)
 
-    for _ in range(max_iters):
+    for k in range(max_iters + 1):
         order = np.argsort(f, axis=1, kind="stable")
         f = np.take_along_axis(f, order, axis=1)
         x = np.take_along_axis(x, order[:, :, None], axis=1)
         diameter = np.max(np.abs(x - x[:, :1, :]), axis=(1, 2))
         active &= diameter >= tol
         idx = np.nonzero(active)[0]
-        if idx.size == 0:
+        if idx.size == 0 or k == max_iters:
             break
         xa, fa = x[idx], f[idx]
         centroid = np.mean(xa[:, :d, :], axis=1)
         xw, fw = xa[:, d, :], fa[:, d]
         fb, fsw = fa[:, 0], fa[:, d - 1]
 
-        xr = centroid + (centroid - xw)
-        fr = objective(xr)
+        def trial(rows, coef):
+            xt = centroid[rows] + coef * (centroid[rows] - xw[rows])
+            return xt, objective(xt)
+
+        xr, fr = trial(slice(None), 1.0)
         new_x, new_f = xr.copy(), fr.copy()
         shrink = np.zeros(idx.size, dtype=bool)
 
         expand = fr < fb
         if np.any(expand):
             sub = np.nonzero(expand)[0]
-            xe = centroid[sub] + 2.0 * (centroid[sub] - xw[sub])
-            fe = objective(xe)
+            xe, fe = trial(sub, 2.0)
             better = fe < fr[sub]
             new_x[sub[better]] = xe[better]
             new_f[sub[better]] = fe[better]
 
         outside = (~expand) & (fr >= fsw) & (fr < fw)
-        if np.any(outside):
-            sub = np.nonzero(outside)[0]
-            xc = centroid[sub] + 0.5 * (centroid[sub] - xw[sub])
-            fc = objective(xc)
-            ok = fc <= fr[sub]
-            new_x[sub[ok]] = xc[ok]
-            new_f[sub[ok]] = fc[ok]
-            shrink[sub[~ok]] = True
-
         inside = (~expand) & (fr >= fw)
-        if np.any(inside):
-            sub = np.nonzero(inside)[0]
-            xc = centroid[sub] - 0.5 * (centroid[sub] - xw[sub])
-            fc = objective(xc)
-            ok = fc < fw[sub]
+        sub = np.nonzero(outside | inside)[0]
+        if sub.size:  # both contractions share one objective call
+            xc, fc = trial(sub, np.where(inside[sub], -0.5, 0.5)[:, None])
+            ok = np.where(inside[sub], fc < fw[sub], fc <= fr[sub])
             new_x[sub[ok]] = xc[ok]
             new_f[sub[ok]] = fc[ok]
             shrink[sub[~ok]] = True
@@ -144,14 +139,9 @@ def nelder_mead_batch(objective, x0: np.ndarray, *, max_iters: int,
         if np.any(shrink):
             rows = idx[shrink]
             x[rows, 1:, :] = x[rows, :1, :] + 0.5 * (x[rows, 1:, :] - x[rows, :1, :])
-            n_s = rows.size
-            f[rows, 1:] = objective(
-                x[rows, 1:, :].reshape(n_s * d, d)).reshape(n_s, d)
+            f[rows, 1:] = objective(x[rows, 1:, :].reshape(-1, d)).reshape(-1, d)
         iters[idx] += 1
 
-    order = np.argsort(f, axis=1, kind="stable")
-    f = np.take_along_axis(f, order, axis=1)
-    x = np.take_along_axis(x, order[:, :, None], axis=1)
     return x[:, 0, :], f[:, 0], iters
 
 

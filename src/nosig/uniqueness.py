@@ -9,6 +9,12 @@ phase, i.e. the global state is the pure family state times an ancilla.
 This module scans the chart for counterexamples: parameter points whose
 B-C marginal error (the residual) vanishes while sitting far from that
 unique point.  Finding none is the numerical content of the theorem.
+
+The chart is written once, batched over rows: the E1/E2 blocks, the
+state and the distance to the unique point each have one definition, and
+the single-point functions are batches of one.  residual() traces out A
+and X of the full state with partial_trace, so it stays an independent
+check of the scan objective's einsum marginal.
 """
 
 from __future__ import annotations
@@ -89,29 +95,55 @@ def unique_point_params() -> PurificationParams:
                               x10=e[0], x11=e[1], x20=e[1], x21=e[0])
 
 
+def _e_blocks(w: np.ndarray, x: np.ndarray):
+    """E1 and the orthogonalized, renormalized E2 as (r, 2, x) blocks.
+
+    w holds the weights (c0, c1, d0, d1) as (r, 4) and x the vectors
+    (x10, x11, x20, x21) as (r, 4, x).  Returns (e1, e2, bad); rows whose
+    E2 collapses are flagged in bad and left unnormalized.
+    """
+    blocks = w[:, :, None] * x
+    e1, e2 = blocks[:, :2], blocks[:, 2:]
+    e2 = e2 - np.sum(e1.conj() * e2, axis=(1, 2))[:, None, None] * e1
+    norms = np.linalg.norm(e2.reshape(len(e2), -1), axis=1)
+    bad = norms < tol.ORTHO_COLLAPSE
+    return e1, e2 / np.where(bad, 1.0, norms)[:, None, None], bad
+
+
+def _purification(alpha: float, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
+    """(psi1 E1 + psi2 E2)/sqrt(2) per row, shape (r, 2, 3, 2, x)."""
+    s1 = psi1(alpha).reshape(2, 3)
+    s2 = psi2(alpha).reshape(2, 3)
+    return (np.einsum("ab,rcx->rabcx", s1, e1)
+            + np.einsum("ab,rcx->rabcx", s2, e2)) / math.sqrt(2.0)
+
+
+def _distance(c1: np.ndarray, x10: np.ndarray, e2: np.ndarray) -> np.ndarray:
+    """Max of (c1, effective d0, 1 - |<x10|x21 effective>|) per row.
+
+    Measured on the orthogonalized E2, so raw parameters that
+    orthogonalize onto the unique point count as being there.  The
+    absolute value absorbs the free X phase.
+    """
+    d0_eff, d1_eff = np.linalg.norm(e2, axis=2).T
+    live = d1_eff > 1e-12
+    ip = np.abs(np.sum(x10.conj() * e2[:, 1], axis=1))
+    overlap = np.where(live, ip / np.where(live, d1_eff, 1.0), 0.0)
+    return np.maximum(np.maximum(c1, d0_eff), 1.0 - overlap)
+
+
 def _e_pair(p: PurificationParams) -> tuple[np.ndarray, np.ndarray]:
-    """E1 and the orthogonalized, renormalized E2 as (2, x) blocks."""
-    e1 = np.zeros((2, _X_DIM), dtype=np.complex128)
-    e1[0] = p.c0 * p.x10
-    e1[1] = p.c1 * p.x11
-    e2 = np.zeros((2, _X_DIM), dtype=np.complex128)
-    e2[0] = p.d0 * p.x20
-    e2[1] = p.d1 * p.x21
-    e2 = e2 - np.vdot(e1, e2) * e1
-    norm = float(np.linalg.norm(e2))
-    if norm < tol.ORTHO_COLLAPSE:
+    """E1 and E2 of one parameter point, as a batch of one (1, 2, x)."""
+    e1, e2, bad = _e_blocks(np.array([[p.c0, p.c1, p.d0, p.d1]]),
+                            np.array([[p.x10, p.x11, p.x20, p.x21]]))
+    if bad[0]:
         raise DegenerateInputError("E2 collapses under orthogonalization")
-    return e1, e2 / norm
+    return e1, e2
 
 
 def build_purification(alpha: float, p: PurificationParams) -> np.ndarray:
     """Unit vector on A x B x C x X (dims 2,3,2,4), flat index order."""
-    e1, e2 = _e_pair(p)
-    s1 = psi1(alpha).reshape(2, 3)
-    s2 = psi2(alpha).reshape(2, 3)
-    phi = (s1[:, :, None, None] * e1[None, None, :, :]
-           + s2[:, :, None, None] * e2[None, None, :, :]) / math.sqrt(2.0)
-    return phi.reshape(-1)
+    return _purification(alpha, *_e_pair(p)).reshape(-1)
 
 
 def _bc_target(alpha: float) -> np.ndarray:
@@ -120,17 +152,8 @@ def _bc_target(alpha: float) -> np.ndarray:
 
 
 def distance_to_unique_point(p: PurificationParams) -> float:
-    """Max of (c1, effective d0, 1 - |<x10|x21 effective>|).
-
-    Measured after the E2 orthogonalization that build_purification
-    performs, so raw parameters that orthogonalize onto the unique point
-    count as being there.  The absolute value absorbs the free X phase.
-    """
-    _, e2 = _e_pair(p)
-    d0_eff = float(np.linalg.norm(e2[0]))
-    d1_eff = float(np.linalg.norm(e2[1]))
-    overlap = abs(np.vdot(p.x10, e2[1])) / d1_eff if d1_eff > 1e-12 else 0.0
-    return max(p.c1, d0_eff, 1.0 - overlap)
+    """Max of (c1, effective d0, 1 - |<x10|x21 effective>|); see _distance."""
+    return float(_distance(np.array([p.c1]), p.x10[None], _e_pair(p)[1])[0])
 
 
 def residual(alpha: float, p: PurificationParams) -> UniquenessVerdict:
@@ -150,80 +173,48 @@ def _check_interior(alpha: float) -> float:
     return a
 
 
-def _unpack_chart(chart: np.ndarray):
-    """Chart rows -> Schmidt weights and orthonormalized vector stacks.
+def _chart_states(alpha: float, chart: np.ndarray):
+    """Batched purifications of chart rows: (phi, c1, x10, e2, bad).
 
-    Returns (c0, c1, d0, d1, x10, x11, x20, x21, bad); degenerate rows
-    are flagged in bad and left unnormalized.
+    The Schmidt angles give the weights; each vector pair (x10, x11),
+    (x20, x21) is Gram-Schmidt orthonormalized.  Degenerate rows are
+    flagged in bad.
     """
     r = chart.shape[0]
-    c0, c1 = np.cos(chart[:, 0]), np.abs(np.sin(chart[:, 0]))
-    d0, d1 = np.cos(chart[:, 1]), np.abs(np.sin(chart[:, 1]))
-    raw = chart[:, 2:].reshape(r, 4, _X_DIM, 2)
-    vecs = raw[..., 0] + 1j * raw[..., 1]          # (r, 4, x)
-    bad = np.zeros(r, dtype=bool)
+    t = chart[:, :2]
+    w = np.abs(np.stack([np.cos(t), np.sin(t)], axis=2)).reshape(r, 4)
+    raw = chart[:, 2:].reshape(r, 2, 2, _X_DIM, 2)
+    vecs = raw[..., 0] + 1j * raw[..., 1]          # (r, pair, member, x)
 
     def normalized(v):
         n = np.linalg.norm(v, axis=-1)
         small = n < tol.ORTHO_COLLAPSE
-        n = np.where(small, 1.0, n)
-        return v / n[:, None], small
+        return v / np.where(small, 1.0, n)[..., None], np.any(small, axis=1)
 
-    x10, b = normalized(vecs[:, 0])
-    bad |= b
-    x11 = vecs[:, 1] - np.sum(x10.conj() * vecs[:, 1], axis=1)[:, None] * x10
-    x11, b = normalized(x11)
-    bad |= b
-    x20, b = normalized(vecs[:, 2])
-    bad |= b
-    x21 = vecs[:, 3] - np.sum(x20.conj() * vecs[:, 3], axis=1)[:, None] * x20
-    x21, b = normalized(x21)
-    bad |= b
-    return np.abs(c0), c1, np.abs(d0), d1, x10, x11, x20, x21, bad
+    first, bad = normalized(vecs[:, :, 0])
+    second = vecs[:, :, 1] - np.sum(first.conj() * vecs[:, :, 1],
+                                    axis=-1)[..., None] * first
+    second, b = normalized(second)
+    x = np.stack([first, second], axis=2).reshape(r, 4, _X_DIM)
+    e1, e2, collapsed = _e_blocks(w, x)
+    return (_purification(alpha, e1, e2), w[:, 1], x[:, 0], e2,
+            bad | b | collapsed)
 
 
-def _chart_states(alpha: float, chart: np.ndarray):
-    """Batched purifications: (phi (r,2,3,2,x), e2 blocks, bad mask)."""
-    r = chart.shape[0]
-    c0, c1, d0, d1, x10, x11, x20, x21, bad = _unpack_chart(chart)
-    e1 = np.zeros((r, 2, _X_DIM), dtype=np.complex128)
-    e1[:, 0] = c0[:, None] * x10
-    e1[:, 1] = c1[:, None] * x11
-    e2 = np.zeros((r, 2, _X_DIM), dtype=np.complex128)
-    e2[:, 0] = d0[:, None] * x20
-    e2[:, 1] = d1[:, None] * x21
-    ip = np.sum(e1.conj() * e2, axis=(1, 2))
-    e2 = e2 - ip[:, None, None] * e1
-    norms = np.linalg.norm(e2.reshape(r, -1), axis=1)
-    bad = bad | (norms < tol.ORTHO_COLLAPSE)
-    e2 = e2 / np.where(bad, 1.0, norms)[:, None, None]
-    s1 = psi1(alpha).reshape(2, 3)
-    s2 = psi2(alpha).reshape(2, 3)
-    phi = (np.einsum("ab,rcx->rabcx", s1, e1)
-           + np.einsum("ab,rcx->rabcx", s2, e2)) / math.sqrt(2.0)
-    return phi, c1, x10, e2, bad
-
-
-def _residual_chart(alpha: float, chart: np.ndarray) -> np.ndarray:
-    """Batched scan objective: B-C marginal error, penalized when degenerate."""
+def _residual_chart(alpha: float, chart: np.ndarray,
+                    target: np.ndarray) -> np.ndarray:
+    """Batched scan objective: Frobenius error of the B-C marginal against
+    target = _bc_target(alpha), penalized when degenerate."""
     phi, _, _, _, bad = _chart_states(alpha, chart)
-    rho_bc = np.einsum("rabcx,raBCx->rbcBC", phi, phi.conj())
-    r = chart.shape[0]
-    diff = rho_bc.reshape(r, 6, 6) - _bc_target(alpha)[None, :, :]
-    out = np.linalg.norm(diff.reshape(r, -1), axis=1)
+    rho_bc = np.einsum("rabcx,raBCx->rbcBC", phi, phi.conj()).reshape(-1, 6, 6)
+    out = np.linalg.norm((rho_bc - target).reshape(len(chart), -1), axis=1)
     return np.where(bad, _PENALTY, out)
 
 
 def _distance_chart(alpha: float, chart: np.ndarray) -> np.ndarray:
     """Batched distance-to-unique-point on effective parameters."""
     _, c1, x10, e2, bad = _chart_states(alpha, chart)
-    d0_eff = np.linalg.norm(e2[:, 0], axis=1)
-    d1_eff = np.linalg.norm(e2[:, 1], axis=1)
-    safe = np.where(d1_eff > 1e-12, d1_eff, 1.0)
-    overlap = np.abs(np.sum(x10.conj() * e2[:, 1], axis=1)) / safe
-    overlap = np.where(d1_eff > 1e-12, overlap, 0.0)
-    dist = np.maximum(np.maximum(c1, d0_eff), 1.0 - overlap)
-    return np.where(bad, _PENALTY, dist)
+    return np.where(bad, _PENALTY, _distance(c1, x10, e2))
 
 
 def _unique_point_chart() -> np.ndarray:
@@ -255,13 +246,14 @@ def uniqueness_scan(alpha: float, n_samples: int = 10000,
     chart[:, 0] = rng.uniform(0.0, math.pi / 2, n_samples)
     chart[:, 1] = rng.uniform(0.0, math.pi / 2, n_samples)
     chart[:, 2:] = rng.standard_normal((n_samples, _CHART_DIM - 2))
-    res = _residual_chart(a, chart)
+    target = _bc_target(a)
+    res = _residual_chart(a, chart, target)
 
     order = np.argsort(res, kind="stable")[:n_local_starts]
     starts = np.vstack([_unique_point_chart()[None, :], chart[order]])
 
     def objective(points):
-        return _residual_chart(a, points)
+        return _residual_chart(a, points, target)
 
     best = starts
     for _ in range(3):  # restarted simplex rounds tighten stalled minima

@@ -150,14 +150,28 @@ class TestFamilyBounds:
 
 class TestBatchedPath:
     def test_matches_report_path(self):
+        # family_bounds is the batched kernel on a batch of one; the
+        # per-triple path goes through fach_closed_form and h_bounds
         rng = np.random.default_rng(49)
         for _ in range(50):
             alpha = rng.uniform(0, math.pi / 2)
-            p = rng.uniform(-2, 8, 14)
-            fb = family_bounds(alpha, SettingsFamily.from_params(p))
-            lo, up = family_chsh_bounds(alpha, p[None, :])
-            assert lo[0] == pytest.approx(fb.chsh_lower, abs=1e-12)
-            assert up[0] == pytest.approx(fb.chsh_upper, abs=1e-12)
+            fam = SettingsFamily.from_params(rng.uniform(-2, 8, 14))
+            fb = family_bounds(alpha, fam)
+            got = (fb.m11, fb.m12, fb.m21, fb.m22)
+            want = [measurement_bounds(alpha, a, fam.b, c)
+                    for a, c in ((fam.a1, fam.c1), (fam.a1, fam.c2),
+                                 (fam.a2, fam.c1), (fam.a2, fam.c2))]
+            for g, w in zip(got, want):
+                assert np.max(np.abs(g.lower_b - w.lower_b)) <= 1e-12
+                assert np.max(np.abs(g.upper_b - w.upper_b)) <= 1e-12
+                assert g.lower_sum == pytest.approx(w.lower_sum, abs=1e-12)
+                assert g.upper_sum == pytest.approx(w.upper_sum, abs=1e-12)
+            lo = [w.lower_sum for w in want]
+            up = [w.upper_sum for w in want]
+            assert fb.chsh_lower == pytest.approx(
+                lo[0] + lo[1] + lo[2] - up[3], abs=1e-12)
+            assert fb.chsh_upper == pytest.approx(
+                up[0] + up[1] + up[2] - lo[3], abs=1e-12)
 
     def test_born_rule_oracle(self):
         # family_bounds shares the batched closed form, so the independent

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -236,3 +237,25 @@ class TestUsageErrors:
     def test_bad_angle_returns_2(self, capsys):
         assert main(["chsh", "--alpha", "zebra"]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestGoldenDigests:
+    """SHA-256 of stdout, pinned across commits (reruns within one
+    commit are compared by acceptance criterion 9)."""
+
+    def digest(self, capsys, argv):
+        capsys.readouterr()
+        assert main(argv) == 0
+        return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+    def test_sweep(self, capsys):
+        argv = ["sweep", "--grid", "0:pi/2:5", "--restarts", "3",
+                "--max-iters", "400", "--seed", "7"]
+        assert self.digest(capsys, argv) == \
+            "d5cfa2e4047306abc4c7baac97ffec4478317c53649ed057e0f2a0551d9a7f99"
+
+    def test_uniqueness(self, capsys):
+        argv = ["uniqueness", "--alpha", "0.8", "--samples", "200",
+                "--starts", "4", "--seed", "5"]
+        assert self.digest(capsys, argv) == \
+            "08729bd950f070da11a838de978039e7b4ec2eefac54c256af74b0e59adda14d"

@@ -19,14 +19,22 @@ def random_density(rng, n):
 
 
 class TestEigensolver:
-    def test_matches_numpy_oracle(self):
+    def test_known_spectrum(self):
+        # U diag(lam) U^dagger with U from the QR of a random complex matrix
+        # must give lam back, ascending; every other draw repeats a value
         rng = np.random.default_rng(11)
         for n in (2, 3, 4, 5, 6):
-            for _ in range(40):
-                m = random_hermitian(rng, n)
-                got = hermitian_eigenvalues(m)
-                want = np.linalg.eigvalsh(m)
-                assert np.max(np.abs(got - want)) < 1e-10 * max(1.0, np.abs(want).max())
+            for k in range(40):
+                lam = rng.uniform(-5.0, 5.0, n)
+                if k % 2:
+                    lam[1] = lam[0]
+                lam = np.sort(lam)
+                z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                u, _ = np.linalg.qr(z)
+                m = u @ np.diag(lam) @ u.conj().T
+                got = np.asarray(hermitian_eigenvalues(0.5 * (m + m.conj().T)))
+                assert np.all(np.abs(got - lam)
+                              <= 1e-12 * np.maximum(1.0, np.abs(lam)))
 
     def test_sorted_ascending(self):
         rng = np.random.default_rng(12)

@@ -6,7 +6,9 @@ import pytest
 from nosig.errors import (DegenerateInputError, InvalidInputError)
 from nosig.qlinalg import partial_trace
 from nosig.states import rho_ab_analytic, rho_ac_analytic
-from nosig.uniqueness import (PurificationParams, build_purification,
+from nosig.uniqueness import (_PENALTY, PurificationParams, _bc_target,
+                              _distance_chart, _residual_chart,
+                              _unique_point_chart, build_purification,
                               distance_to_unique_point, residual,
                               theorem2_check, unique_point_params,
                               uniqueness_scan)
@@ -27,6 +29,14 @@ def random_params(rng):
     return PurificationParams(c0=math.cos(tc), c1=math.sin(tc),
                               d0=math.cos(td), d1=math.sin(td),
                               x10=x10, x11=x11, x20=x20, x21=x21)
+
+
+def params_to_chart(p):
+    """The scan-chart row of a parameter point (Schmidt angles, then the
+    real and imaginary parts of x10, x11, x20, x21)."""
+    vecs = np.array([p.x10, p.x11, p.x20, p.x21])
+    return np.concatenate([[math.atan2(p.c1, p.c0), math.atan2(p.d1, p.d0)],
+                           np.stack([vecs.real, vecs.imag], axis=-1).ravel()])
 
 
 class TestParamsValidation:
@@ -141,6 +151,50 @@ class TestUniquePoint:
     def test_distance_definition(self):
         p = unique_point_params()
         assert distance_to_unique_point(p) <= 1e-12
+
+    def test_distance_known_point(self):
+        # E2 is already orthogonal to E1 = (x10, 0), so d0_eff = 0.1 and
+        # the x21 overlap, normalized by d1_eff, is 1/sqrt(2)
+        e = np.eye(4, dtype=np.complex128)
+        p = PurificationParams(c0=1.0, c1=0.0, d0=0.1, d1=math.sqrt(0.99),
+                               x10=e[0], x11=e[1], x20=e[2],
+                               x21=(e[0] + e[3]) / math.sqrt(2.0))
+        want = 1.0 - 1.0 / math.sqrt(2.0)
+        assert distance_to_unique_point(p) == pytest.approx(want, abs=1e-12)
+        assert residual(0.7, p).distance_to_unique_point == \
+            pytest.approx(want, abs=1e-12)
+
+
+class TestChartObjective:
+    def test_matches_partial_trace_oracle(self):
+        # residual() traces A and X out of the full state with
+        # partial_trace; the scan objective takes the einsum marginal
+        rng = np.random.default_rng(73)
+        alpha = 0.9
+        ps = [unique_point_params()] + [random_params(rng) for _ in range(40)]
+        chart = np.array([params_to_chart(p) for p in ps])
+        assert np.array_equal(chart[0], _unique_point_chart())
+        res = _residual_chart(alpha, chart, _bc_target(alpha))
+        dist = _distance_chart(alpha, chart)
+        for k, p in enumerate(ps):
+            v = residual(alpha, p)
+            assert res[k] == pytest.approx(v.residual, abs=1e-12)
+            assert dist[k] == pytest.approx(v.distance_to_unique_point,
+                                            abs=1e-12)
+
+    def test_batch_rows_independent(self):
+        # the optimizer merges rows from different branches into one
+        # objective call, which is exact only if rows do not interact
+        rng = np.random.default_rng(74)
+        alpha = 0.8
+        chart = rng.standard_normal((30, 34))
+        chart[:, :2] = rng.uniform(0.0, math.pi / 2, (30, 2))
+        chart[11, 2:10] = 0.0                     # x10 = 0: degenerate row
+        target = _bc_target(alpha)
+        batch = _residual_chart(alpha, chart, target)
+        assert np.flatnonzero(batch == _PENALTY).tolist() == [11]
+        for k in range(30):
+            assert _residual_chart(alpha, chart[k:k + 1], target)[0] == batch[k]
 
 
 class TestScan:
