@@ -130,17 +130,6 @@ def outcome_terms(alpha: float, columns: np.ndarray
     return f, g
 
 
-def fach_from_columns(alpha: float, bloch_a, columns: np.ndarray,
-                      bloch_c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form (f, a, c) per trit outcome, from explicit basis columns.
-
-    bloch_a / bloch_c are 3-vectors on the unit sphere; columns is a 3x3
-    complex matrix whose columns are the qutrit eigenvectors.
-    """
-    f, g = outcome_terms(alpha, np.asarray(columns))
-    return f, g @ np.asarray(bloch_a, dtype=float), g @ np.asarray(bloch_c, dtype=float)
-
-
 def fach_closed_form(alpha: float, a: BlochSetting, b: QutritBasis,
                      c: BlochSetting) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed-form (f, a, c) per trit outcome for one measurement triple.
@@ -148,8 +137,8 @@ def fach_closed_form(alpha: float, a: BlochSetting, b: QutritBasis,
     h is deliberately not returned: it is the component left free to a
     no-signaling model, so only the Born-rule path produces it.
     """
-    return fach_from_columns(alpha, a.bloch_vector(), qutrit_unitary(b),
-                             c.bloch_vector())
+    f, g = outcome_terms(alpha, qutrit_unitary(b))
+    return f, g @ np.asarray(a.bloch_vector()), g @ np.asarray(c.bloch_vector())
 
 
 def correlator(d: Decomposition) -> float:

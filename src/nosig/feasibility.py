@@ -8,8 +8,9 @@ instances here have at most 64 variables, so a dense tableau is plenty.
 The headline instance takes the three z-axis measurements of the
 three-qubit GHZ state, fixes the quantum A-B and B-C tables, and adds
 the independence requirement P(a,c) = P(a)P(c) appropriate when the A-C
-pair is spacelike separated even for the superluminal mechanism: no
-joint distribution exists, so a model without local variables signals.
+pair is spacelike separated even for the superluminal mechanism, passed
+as an explicit A-C table built from the other two: no joint distribution
+exists, so a model without local variables signals.
 """
 
 from __future__ import annotations
@@ -31,10 +32,8 @@ _Z_PROJECTORS = [np.diag([1.0 + 0j, 0.0]), np.diag([0.0, 1.0 + 0j])]
 class MarginalSpec:
     """Target pair marginals over outcomes (a, b, c).
 
-    Each provided table must be nonnegative and normalized; ac_product
-    derives the A-C table as the product of the one-party marginals
-    implied by the other two tables (so both must be present), instead
-    of an explicit ac table.
+    Each provided table must be nonnegative and normalized, and tables
+    that share a party must agree on its one-party marginal.
     """
     n_a: int
     n_b: int
@@ -42,7 +41,6 @@ class MarginalSpec:
     ab: np.ndarray | None = None
     bc: np.ndarray | None = None
     ac: np.ndarray | None = None
-    ac_product: bool = False
 
     def __post_init__(self):
         for n, name in ((self.n_a, "n_a"), (self.n_b, "n_b"), (self.n_c, "n_c")):
@@ -61,32 +59,20 @@ class MarginalSpec:
             if abs(float(t.sum()) - 1.0) > tol.DENSITY_TRACE:
                 raise InvalidInputError(f"{name} table does not sum to 1")
             object.__setattr__(self, name, t)
-        if self.ac_product and self.ac is not None:
-            raise InvalidInputError("give either an explicit ac table or "
-                                    "ac_product, not both")
-        if self.ac_product and (self.ab is None or self.bc is None):
-            raise InvalidInputError("ac_product needs both ab and bc tables")
         self._check_overlaps()
 
     def _check_overlaps(self):
-        ac = self.effective_ac()
         pairs = []
         if self.ab is not None and self.bc is not None:
             pairs.append((self.ab.sum(axis=0), self.bc.sum(axis=1), "b"))
-        if self.ab is not None and ac is not None:
-            pairs.append((self.ab.sum(axis=1), ac.sum(axis=1), "a"))
-        if self.bc is not None and ac is not None:
-            pairs.append((self.bc.sum(axis=0), ac.sum(axis=0), "c"))
+        if self.ab is not None and self.ac is not None:
+            pairs.append((self.ab.sum(axis=1), self.ac.sum(axis=1), "a"))
+        if self.bc is not None and self.ac is not None:
+            pairs.append((self.bc.sum(axis=0), self.ac.sum(axis=0), "c"))
         for left, right, name in pairs:
             if float(np.max(np.abs(left - right))) > tol.MARGINAL_FEASIBLE:
                 raise InvalidInputError(
                     f"tables imply conflicting one-party marginals for {name}")
-
-    def effective_ac(self) -> np.ndarray | None:
-        """The A-C table actually constrained: explicit, or the product."""
-        if self.ac_product:
-            return np.outer(self.ab.sum(axis=1), self.bc.sum(axis=0))
-        return self.ac
 
 
 @dataclass(frozen=True)
@@ -105,41 +91,34 @@ def _phase_one_simplex(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]
     Returns the optimum and the structural part of the solution.
     """
     m, n = a.shape
-    t = np.zeros((m, n + m + 1))
-    t[:, :n] = a
-    t[:, n:n + m] = np.eye(m)
-    t[:, -1] = b
-    basis = list(range(n, n + m))
+    t = np.hstack([a, np.eye(m), b[:, None]])
+    basis = np.arange(n, n + m)
     cost = np.concatenate([np.zeros(n), np.ones(m)])
     while True:
         reduced = cost.copy()
-        for i, bv in enumerate(basis):
-            if cost[bv] != 0.0:
-                reduced -= cost[bv] * t[i, :-1]
-        entering = -1
-        for j in range(n + m):
-            if reduced[j] < -1e-12:
-                entering = j
-                break
-        if entering < 0:
+        for row in t[basis >= n, :-1]:
+            reduced -= row
+        eligible = np.flatnonzero(reduced < -1e-12)
+        if eligible.size == 0:
             break
-        rows = np.nonzero(t[:, entering] > 1e-12)[0]
+        entering = eligible[0]
+        rows = np.flatnonzero(t[:, entering] > 1e-12)
         if rows.size == 0:
             raise RuntimeError("phase-one column unbounded; inconsistent tableau")
         ratios = t[rows, -1] / t[rows, entering]
-        candidates = [i for i, rt in zip(rows, ratios) if rt <= ratios.min()]
-        leaving = min(candidates, key=lambda i: basis[i])
+        candidates = rows[ratios <= ratios.min()]
+        leaving = candidates[np.argmin(basis[candidates])]
         t[leaving] /= t[leaving, entering]
-        for i in range(m):
-            if i != leaving and t[i, entering] != 0.0:
-                t[i] -= t[i, entering] * t[leaving]
+        # Rows with a zero in the entering column are left untouched, so
+        # the update matches row-by-row elimination down to signed zeros.
+        others = np.flatnonzero(t[:, entering] != 0.0)
+        others = others[others != leaving]
+        t[others] -= t[others, entering, None] * t[leaving]
         basis[leaving] = entering
-    optimum = sum(t[i, -1] for i, bv in enumerate(basis) if bv >= n)
-    x = np.zeros(n)
-    for i, bv in enumerate(basis):
-        if bv < n:
-            x[bv] = t[i, -1]
-    return float(optimum), x
+    optimum = sum(t[basis >= n, -1])
+    x = np.zeros(n + m)
+    x[basis] = t[:, -1]
+    return float(optimum), x[:n]
 
 
 def _marginal_rows(spec: MarginalSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -152,8 +131,7 @@ def _marginal_rows(spec: MarginalSpec) -> tuple[np.ndarray, np.ndarray]:
     """
     shape = (spec.n_a, spec.n_b, spec.n_c)
     rows, rhs = [np.zeros((0, math.prod(shape)))], [np.zeros(0)]
-    for table, summed in ((spec.ab, 2), (spec.bc, 0),
-                          (spec.effective_ac(), 1)):
+    for table, summed in ((spec.ab, 2), (spec.bc, 0), (spec.ac, 1)):
         if table is not None:
             kept = table.shape[:summed] + (1,) + table.shape[summed:]
             eye = np.eye(table.size).reshape(table.size, *kept)
@@ -200,8 +178,8 @@ def theorem1_check(state: np.ndarray | None = None,
     vec = ghz3() if state is None else np.asarray(state, dtype=np.complex128)
     joint = born_joint3(vec, (2, 2, 2),
                         (_Z_PROJECTORS, _Z_PROJECTORS, _Z_PROJECTORS))
-    spec = MarginalSpec(n_a=2, n_b=2, n_c=2,
-                        ab=joint.sum(axis=2), bc=joint.sum(axis=0),
-                        ac=None, ac_product=independence)
+    ab, bc = joint.sum(axis=2), joint.sum(axis=0)
+    ac = np.outer(ab.sum(axis=1), bc.sum(axis=0)) if independence else None
+    spec = MarginalSpec(n_a=2, n_b=2, n_c=2, ab=ab, bc=bc, ac=ac)
     return Theorem1Report(independence=independence,
                           result=joint_feasible(spec))

@@ -118,14 +118,8 @@ def qutrit_unitary(q: QutritBasis) -> np.ndarray:
     return batched_columns(np.array([q.angles]))[0]
 
 
-def qutrit_basis_vectors(q: QutritBasis) -> list[np.ndarray]:
-    """The three orthonormal measurement eigenvectors, outcome order 0,1,2."""
-    u = qutrit_unitary(q)
-    return [u[:, b].copy() for b in range(3)]
-
-
 def qutrit_projector(q: QutritBasis, outcome: int) -> np.ndarray:
     if outcome not in (0, 1, 2):
         raise InvalidInputError(f"qutrit outcome must be 0, 1 or 2, got {outcome!r}")
-    v = qutrit_basis_vectors(q)[outcome]
+    v = qutrit_unitary(q)[:, outcome]
     return np.outer(v, v.conj())

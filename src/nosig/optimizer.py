@@ -27,7 +27,6 @@ import numpy as np
 
 from .bounds import family_chsh_bounds
 from .errors import InvalidInputError
-from .measurements import SettingsFamily
 from .tolerances import SIMPLEX_DIAMETER
 
 _SIMPLEX_STEP = 0.3
@@ -58,7 +57,6 @@ class OptimizerConfig:
 class OptimizationResult:
     value: float
     params: np.ndarray
-    family: SettingsFamily
     iterations: int
     restarts: int
 
@@ -182,9 +180,8 @@ def _starts(cfg: OptimizerConfig, grid_index: int, direction: int) -> np.ndarray
 def _best(values: np.ndarray, points: np.ndarray, iters: np.ndarray,
           sign: float, restarts: int) -> OptimizationResult:
     k = int(np.argmin(values))
-    params = points[k].copy()
-    return OptimizationResult(value=sign * float(values[k]), params=params,
-                              family=SettingsFamily.from_params(params),
+    return OptimizationResult(value=sign * float(values[k]),
+                              params=points[k].copy(),
                               iterations=int(iters.sum()), restarts=restarts)
 
 

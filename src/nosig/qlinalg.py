@@ -23,25 +23,24 @@ def as_complex_matrix(m) -> np.ndarray:
     return a
 
 
-def check_hermitian(m, atol: float = tol.HERMITIAN) -> np.ndarray:
+def check_hermitian(m) -> np.ndarray:
     """Validate that m is Hermitian within Frobenius tolerance."""
     a = as_complex_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise InvalidInputError(f"matrix is not square: shape={a.shape}")
-    if float(np.linalg.norm(a - a.conj().T)) > atol:
+    if float(np.linalg.norm(a - a.conj().T)) > tol.HERMITIAN:
         raise InvalidInputError("matrix is not hermitian within tolerance")
     return a
 
 
-def check_density(m, trace_atol: float = tol.DENSITY_TRACE,
-                  eig_floor: float = tol.DENSITY_MIN_EIG) -> np.ndarray:
+def check_density(m) -> np.ndarray:
     """Validate that m is a density matrix: Hermitian, unit trace, PSD."""
     a = check_hermitian(m)
     tr = complex(np.trace(a))
-    if abs(tr - 1.0) > trace_atol:
+    if abs(tr - 1.0) > tol.DENSITY_TRACE:
         raise InvalidInputError(f"trace is {tr!r}, expected 1")
     eigs = hermitian_eigenvalues(a)
-    if eigs[0] < eig_floor:
+    if eigs[0] < tol.DENSITY_MIN_EIG:
         raise InvalidInputError(f"minimum eigenvalue {eigs[0]!r} below floor")
     return a
 
@@ -91,14 +90,6 @@ def permute_subsystems(rho, dims: Sequence[int], perm: Sequence[int]) -> np.ndar
     axes = perm + tuple(p + n for p in perm)
     d = math.prod(dims)
     return np.transpose(t, axes).reshape(d, d)
-
-
-def frobenius_distance(a, b) -> float:
-    """Frobenius norm of a - b."""
-    ma, mb = as_complex_matrix(a), as_complex_matrix(b)
-    if ma.shape != mb.shape:
-        raise InvalidInputError(f"shape mismatch: {ma.shape} vs {mb.shape}")
-    return float(np.linalg.norm(ma - mb))
 
 
 def hermitian_eigenvalues(m) -> list[float]:

@@ -158,11 +158,12 @@ def distance_to_unique_point(p: PurificationParams) -> float:
 
 def residual(alpha: float, p: PurificationParams) -> UniquenessVerdict:
     """Frobenius error of the purification's B-C marginal, plus distance."""
-    phi = build_purification(alpha, p)
+    e1, e2 = _e_pair(p)
+    phi = _purification(alpha, e1, e2).reshape(-1)
     rho_bc = partial_trace(np.outer(phi, phi.conj()), (2, 3, 2, _X_DIM), (1, 2))
     err = float(np.linalg.norm(rho_bc - _bc_target(alpha)))
-    return UniquenessVerdict(residual=err,
-                             distance_to_unique_point=distance_to_unique_point(p))
+    dist = float(_distance(np.array([p.c1]), p.x10[None], e2)[0])
+    return UniquenessVerdict(residual=err, distance_to_unique_point=dist)
 
 
 def _check_interior(alpha: float) -> float:

@@ -7,7 +7,7 @@ from nosig.bounds import (BoundsReport, FamilyBounds, batched_columns,
                           family_bounds, family_chsh_bounds, h_bounds,
                           measurement_bounds)
 from nosig.correlations import (chsh_value, correlator, decompose,
-                                fach_from_columns, quantum_joint)
+                                outcome_terms, quantum_joint)
 from nosig.errors import InvalidMarginalError
 from nosig.measurements import (BlochSetting, QutritBasis, SettingsFamily,
                                 qutrit_unitary)
@@ -126,12 +126,15 @@ class TestFamilyBounds:
         a = BlochSetting(1.1, 0.4)
         c = BlochSetting(2.0, 3.2)
         cols = qutrit_unitary(QutritBasis(tuple(rng.uniform(0, 6, 6))))
-        base = fach_from_columns(alpha, a.bloch_vector(), cols, c.bloch_vector())
+        na, nc = np.array(a.bloch_vector()), np.array(c.bloch_vector())
+
+        def bounds_of(columns):
+            f, g = outcome_terms(alpha, columns)
+            return h_bounds(f, g @ na, g @ nc)
+
+        lo_b, up_b = bounds_of(cols)
         for perm in ((1, 2, 0), (2, 1, 0), (0, 2, 1)):
-            shuffled = fach_from_columns(alpha, a.bloch_vector(),
-                                         cols[:, perm], c.bloch_vector())
-            lo_b, up_b = h_bounds(base[0], base[1], base[2])
-            lo_p, up_p = h_bounds(shuffled[0], shuffled[1], shuffled[2])
+            lo_p, up_p = bounds_of(cols[:, perm])
             assert np.sum(lo_b) == pytest.approx(np.sum(lo_p), abs=1e-12)
             assert np.sum(up_b) == pytest.approx(np.sum(up_p), abs=1e-12)
 

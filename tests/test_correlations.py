@@ -6,7 +6,7 @@ import pytest
 from nosig.correlations import (Decomposition, born_joint3, chsh_value,
                                 clamp_probabilities, correlation_matrix,
                                 correlator, decompose, fach_closed_form,
-                                fach_from_columns, horodecki_chsh_max,
+                                horodecki_chsh_max, outcome_terms,
                                 quantum_joint, recompose)
 from nosig.errors import InvalidInputError
 from nosig.measurements import (BlochSetting, QutritBasis, SettingsFamily,
@@ -173,8 +173,8 @@ class TestClosedForm:
         alpha, (a, b, c) = 0.9, random_settings(rng)
         cols = qutrit_unitary(b)
         phased = cols * np.exp(1j * rng.uniform(0, 2 * math.pi, 3))[None, :]
-        base = fach_from_columns(alpha, a.bloch_vector(), cols, c.bloch_vector())
-        got = fach_from_columns(alpha, a.bloch_vector(), phased, c.bloch_vector())
+        base = outcome_terms(alpha, cols)
+        got = outcome_terms(alpha, phased)
         for x, y in zip(base, got):
             assert np.max(np.abs(x - y)) < 1e-13
 

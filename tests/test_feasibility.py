@@ -1,3 +1,5 @@
+import hashlib
+import math
 import time
 
 import numpy as np
@@ -8,6 +10,9 @@ from nosig.feasibility import (FeasibilityResult, MarginalSpec,
                                _marginal_rows, joint_feasible, theorem1_check)
 
 GHZ_DIAG = np.diag([0.5, 0.5])
+# SHA-256 of the LP outputs in TestOutputDigest, measured with the
+# row-by-row tableau elimination the numpy pivot replaced.
+LP_DIGEST = "d45037df426e4c73d6931b28e517c0b77b867eae2d8a0fe75380cfd845a01dff"
 
 
 def random_joint(rng, shape):
@@ -25,7 +30,7 @@ class TestMarginalSpecValidation:
         joint = random_joint(rng, (2, 3, 2))
         ab, bc, ac = tables_of(joint)
         spec = MarginalSpec(n_a=2, n_b=3, n_c=2, ab=ab, bc=bc, ac=ac)
-        assert spec.effective_ac() is ac or np.array_equal(spec.effective_ac(), ac)
+        assert np.array_equal(spec.ac, ac)
 
     def test_negative_entry(self):
         bad = np.array([[0.6, -0.1], [0.3, 0.2]])
@@ -50,27 +55,12 @@ class TestMarginalSpecValidation:
         with pytest.raises(InvalidInputError):
             MarginalSpec(n_a=2, n_b=2, n_c=2, ab=ab, ac=ac)
 
-    def test_product_and_explicit_ac_exclusive(self):
-        with pytest.raises(InvalidInputError):
-            MarginalSpec(n_a=2, n_b=2, n_c=2, ab=GHZ_DIAG, bc=GHZ_DIAG,
-                         ac=GHZ_DIAG, ac_product=True)
-
-    def test_product_needs_both_tables(self):
-        with pytest.raises(InvalidInputError):
-            MarginalSpec(n_a=2, n_b=2, n_c=2, ab=GHZ_DIAG, ac_product=True)
-
-    def test_product_table_derivation(self):
-        spec = MarginalSpec(n_a=2, n_b=2, n_c=2, ab=GHZ_DIAG, bc=GHZ_DIAG,
-                            ac_product=True)
-        assert np.allclose(spec.effective_ac(), np.full((2, 2), 0.25))
-
 
 def loop_rows(spec):
     # one row per table entry, filled index by index
     na, nb, nc = spec.n_a, spec.n_b, spec.n_c
     rows, rhs = [], []
-    for table, pair in ((spec.ab, "ab"), (spec.bc, "bc"),
-                        (spec.effective_ac(), "ac")):
+    for table, pair in ((spec.ab, "ab"), (spec.bc, "bc"), (spec.ac, "ac")):
         if table is None:
             continue
         for i in range(table.shape[0]):
@@ -92,8 +82,9 @@ class TestMarginalRows:
     def test_kronecker_rows_match_loop(self, shape):
         rng = np.random.default_rng(67)
         ab, bc, ac = tables_of(random_joint(rng, shape))
-        for kwargs in (dict(ab=ab, bc=bc, ac=ac), dict(ab=ab, bc=bc,
-                                                       ac_product=True),
+        product = np.outer(ab.sum(axis=1), bc.sum(axis=0))
+        for kwargs in (dict(ab=ab, bc=bc, ac=ac),
+                       dict(ab=ab, bc=bc, ac=product),
                        dict(bc=bc), dict(ac=ac)):
             spec = MarginalSpec(*shape, **kwargs)
             a, b = _marginal_rows(spec)
@@ -135,9 +126,18 @@ class TestJointFeasible:
         pa, pb, pc = np.array([0.3, 0.7]), np.array([0.2, 0.5, 0.3]), \
             np.array([0.9, 0.1])
         joint = pa[:, None, None] * pb[None, :, None] * pc[None, None, :]
-        spec = MarginalSpec(n_a=2, n_b=3, n_c=2, ab=joint.sum(axis=2),
-                            bc=joint.sum(axis=0), ac_product=True)
+        ab, bc = joint.sum(axis=2), joint.sum(axis=0)
+        spec = MarginalSpec(n_a=2, n_b=3, n_c=2, ab=ab, bc=bc,
+                            ac=np.outer(ab.sum(axis=1), bc.sum(axis=0)))
         assert joint_feasible(spec).feasible
+
+    def test_signed_zeros_pass_through(self):
+        # rows with a zero in the entering column are not touched, so the
+        # -0.0 entries of these tables keep their sign in the witness
+        diag = np.array([[0.5, -0.0], [-0.0, 0.5]])
+        w = joint_feasible(MarginalSpec(2, 2, 2, diag, diag, diag)).witness
+        assert np.signbit(w).ravel().tolist() == [False] * 3 + [True] * 2 \
+            + [False] * 3
 
     def test_perfect_chains_force_ac_correlation(self):
         # a=b and b=c almost surely, so demanding independent a, c must fail
@@ -174,6 +174,33 @@ class TestJointFeasible:
         res = joint_feasible(spec)
         assert time.perf_counter() - start < 1.0
         assert res.feasible
+
+
+class TestOutputDigest:
+    def test_lp_outputs_pinned(self):
+        # Dirichlet joints under their own and the product A-C table, then
+        # cos t|000> + e^{i phi} sin t|111> with and without independence.
+        rng = np.random.default_rng(2004)
+        results = []
+        for joint in [random_joint(rng, (2, 3, 2)) for _ in range(60)]:
+            ab, bc, ac = tables_of(joint)
+            for table in (ac, np.outer(ab.sum(axis=1), bc.sum(axis=0))):
+                results.append(joint_feasible(MarginalSpec(2, 3, 2, ab, bc,
+                                                           table)))
+        for _ in range(60):
+            t = rng.uniform(0.2, math.pi / 2 - 0.2)
+            phi = rng.uniform(0.0, 2.0 * math.pi)
+            state = np.zeros(8, dtype=np.complex128)
+            state[0], state[7] = math.cos(t), np.exp(1j * phi) * math.sin(t)
+            for independence in (True, False):
+                results.append(theorem1_check(state, independence).result)
+        assert {res.feasible for res in results} == {True, False}
+        digest = hashlib.sha256()
+        for res in results:
+            witness = b"" if res.witness is None else res.witness.tobytes()
+            digest.update(repr((res.feasible, res.residual.hex())).encode()
+                          + witness)
+        assert digest.hexdigest() == LP_DIGEST
 
 
 class TestTheorem1:

@@ -5,8 +5,8 @@ import pytest
 
 from nosig.errors import InvalidInputError
 from nosig.measurements import (BlochSetting, QutritBasis, SettingsFamily,
-                                qubit_projector, qutrit_basis_vectors,
-                                qutrit_projector, qutrit_unitary)
+                                qubit_projector, qutrit_projector,
+                                qutrit_unitary)
 
 
 def random_basis(rng):
@@ -69,8 +69,9 @@ class TestQutritBasis:
         rng = np.random.default_rng(25)
         q = random_basis(rng)
         u = qutrit_unitary(q)
-        for b, v in enumerate(qutrit_basis_vectors(q)):
-            assert np.allclose(v, u[:, b])
+        for b in range(3):  # outcome b projects onto column b
+            kept = u * (np.arange(3) == b)
+            assert np.allclose(qutrit_projector(q, b) @ u, kept, atol=1e-13)
 
     def test_angle_count_validation(self):
         with pytest.raises(InvalidInputError):
