@@ -27,6 +27,7 @@ from .correlations import fach_closed_form, outcome_terms
 from .errors import InvalidMarginalError
 from .measurements import (BlochSetting, QutritBasis, SettingsFamily,
                            batched_columns, bloch_vectors)
+from .states import _check_alpha
 
 
 def _h_range(f, a, c):
@@ -64,7 +65,7 @@ class BoundsReport:
 def measurement_bounds(alpha: float, a: BlochSetting, b: QutritBasis,
                        c: BlochSetting) -> BoundsReport:
     """Bounds on the A-C correlator for one measurement triple."""
-    f, abias, cbias = fach_closed_form(alpha, a, b, c)
+    f, abias, cbias = fach_closed_form(_check_alpha(alpha), a, b, c)
     lower, upper = h_bounds(f, abias, cbias)
     return BoundsReport(lower_b=lower, upper_b=upper,
                         lower_sum=float(np.sum(lower)),
@@ -111,6 +112,7 @@ def _chsh_window(lower_sum, upper_sum):
 
 def family_bounds(alpha: float, fam: SettingsFamily) -> FamilyBounds:
     """CHSH bound window of a four-measurement family with shared B basis."""
+    alpha = _check_alpha(alpha)
     lower, upper = _pair_ranges(alpha, np.array([fam.to_params()]))
     lower_sum, upper_sum = np.sum(lower[0], axis=1), np.sum(upper[0], axis=1)
     chsh_lower, chsh_upper = _chsh_window(lower_sum, upper_sum)

@@ -56,7 +56,7 @@ class MarginalSpec:
                 raise InvalidInputError(f"{name} table must have shape {shape}")
             if float(t.min()) < 0.0:
                 raise InvalidInputError(f"{name} table has a negative entry")
-            if abs(float(t.sum()) - 1.0) > tol.DENSITY_TRACE:
+            if abs(float(t.sum()) - 1.0) > tol.PROB_SUM:
                 raise InvalidInputError(f"{name} table does not sum to 1")
             object.__setattr__(self, name, t)
         self._check_overlaps()

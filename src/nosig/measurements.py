@@ -62,6 +62,8 @@ class SettingsFamily:
         p = [float(x) for x in params]
         if len(p) != 14:
             raise InvalidInputError(f"need 14 parameters, got {len(p)}")
+        if not all(math.isfinite(x) for x in p):
+            raise InvalidInputError("parameters must be finite")
         return SettingsFamily(
             a1=BlochSetting(p[0], p[1]), a2=BlochSetting(p[2], p[3]),
             c1=BlochSetting(p[4], p[5]), c2=BlochSetting(p[6], p[7]),

@@ -3,9 +3,11 @@
 The two objectives (maximize the CHSH lower bound, minimize the upper
 bound) contain absolute values, so a derivative-free simplex method with
 standard coefficients is used.  Each trial point is centroid + coef *
-(centroid - worst) with coef 1 (reflection), 2 (expansion), 1/2 or -1/2
-(outside and inside contraction, evaluated in one objective call); a
-failed contraction shrinks the simplex by 1/2 towards its best vertex.
+(centroid - worst) with coef 1 (reflection), then at most one follow-up
+per row: 2 (expansion), 1/2 or -1/2 (outside and inside contraction),
+all rows' follow-ups evaluated in one objective call.  A failed
+expansion keeps the reflection; a failed contraction shrinks the
+simplex by 1/2 towards its best vertex.
 All restarts of one search advance in lockstep as rows of a batch so the
 hot loop is numpy array code rather than a Python loop per restart;
 converged rows freeze while the rest continue.
@@ -46,6 +48,8 @@ class OptimizerConfig:
             raise InvalidInputError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iters < 1:
             raise InvalidInputError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not (0 <= self.tol < math.inf):
+            raise InvalidInputError(f"tol must be in [0, inf), got {self.tol}")
         if not (0 <= self.seed < 2 ** 64):
             raise InvalidInputError("seed must fit in 64 unsigned bits")
         for a in self.alpha_grid:
@@ -112,23 +116,16 @@ def nelder_mead_batch(objective, x0: np.ndarray, *, max_iters: int,
         new_x, new_f = xr.copy(), fr.copy()
         shrink = np.zeros(idx.size, dtype=bool)
 
-        expand = fr < fb
-        if np.any(expand):
-            sub = np.nonzero(expand)[0]
-            xe, fe = trial(sub, 2.0)
-            better = fe < fr[sub]
-            new_x[sub[better]] = xe[better]
-            new_f[sub[better]] = fe[better]
-
-        outside = (~expand) & (fr >= fsw) & (fr < fw)
-        inside = (~expand) & (fr >= fw)
-        sub = np.nonzero(outside | inside)[0]
-        if sub.size:  # both contractions share one objective call
-            xc, fc = trial(sub, np.where(inside[sub], -0.5, 0.5)[:, None])
-            ok = np.where(inside[sub], fc < fw[sub], fc <= fr[sub])
-            new_x[sub[ok]] = xc[ok]
-            new_f[sub[ok]] = fc[ok]
-            shrink[sub[~ok]] = True
+        sub = np.nonzero((fr < fb) | (fr >= fsw))[0]
+        if sub.size:  # expansion and both contractions share one call
+            expand, inside = fr[sub] < fb[sub], fr[sub] >= fw[sub]
+            coef = np.where(expand, 2.0, np.where(inside, -0.5, 0.5))
+            xt, ft = trial(sub, coef[:, None])
+            ok = np.where(expand, ft < fr[sub],
+                          np.where(inside, ft < fw[sub], ft <= fr[sub]))
+            new_x[sub[ok]] = xt[ok]
+            new_f[sub[ok]] = ft[ok]
+            shrink[sub[~(ok | expand)]] = True  # a failed expansion keeps xr
 
         keep = ~shrink
         rows = idx[keep]

@@ -238,6 +238,21 @@ class TestUsageErrors:
         assert main(["chsh", "--alpha", "zebra"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alpha", ["5", "nan"])
+    def test_bounds_alpha_outside_range(self, capsys, alpha):
+        params = ",".join(["0.3"] * 14)
+        assert main(["bounds", "--alpha", alpha, "--params", params]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_bounds_non_finite_param(self, capsys):
+        params = ",".join(["0.3"] * 13 + ["nan"])
+        assert main(["bounds", "--alpha", "0.5", "--params", params]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_sweep_nan_tol(self, capsys):
+        assert main(SWEEP_ARGS + ["--tol", "nan"]) == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestGoldenDigests:
     """SHA-256 of stdout, pinned across commits (reruns within one

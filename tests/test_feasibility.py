@@ -41,6 +41,12 @@ class TestMarginalSpecValidation:
         with pytest.raises(InvalidInputError):
             MarginalSpec(n_a=2, n_b=2, n_c=2, ab=np.full((2, 2), 0.3))
 
+    def test_sum_tolerance_is_the_distribution_tolerance(self):
+        # tables are checked against PROB_SUM (1e-10), like the Born joint
+        MarginalSpec(n_a=2, n_b=2, n_c=2, ab=np.diag([0.5, 0.5 + 2e-11]))
+        with pytest.raises(InvalidInputError):
+            MarginalSpec(n_a=2, n_b=2, n_c=2, ab=np.diag([0.5, 0.5 + 2e-10]))
+
     def test_bad_shape(self):
         with pytest.raises(InvalidInputError):
             MarginalSpec(n_a=2, n_b=3, n_c=2, ab=np.full((2, 2), 0.25))
@@ -228,3 +234,13 @@ class TestTheorem1:
 
     def test_result_type(self):
         assert isinstance(theorem1_check().result, FeasibilityResult)
+
+    @pytest.mark.parametrize("eps", [2e-12, 2e-11])
+    def test_slightly_unnormalized_state_keeps_verdicts(self, eps):
+        # cos t|000> + sin t|111> with norm^2 1 + eps: the Born joint
+        # passes PROB_SUM, so the tables must too, in both modes
+        vec = np.zeros(8, dtype=np.complex128)
+        vec[0], vec[7] = math.cos(0.6), math.sin(0.6)
+        vec *= math.sqrt(1.0 + eps)
+        assert theorem1_check(vec, independence=True).contradiction
+        assert not theorem1_check(vec, independence=False).contradiction

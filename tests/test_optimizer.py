@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -38,6 +39,28 @@ class TestNelderMeadBatch:
                       for k in range(1, 300, 7)])
         assert np.all(np.diff(h, axis=0) <= 1e-15)
         assert np.all(h[-1] < h[0])
+
+    def test_outputs_and_call_count_pinned(self):
+        # each iteration evaluates the reflections in one call and every
+        # row's expansion or contraction in one more, so the call count
+        # pins the shared follow-up call while rows and outputs do not move
+        seen = []
+
+        def objective(p):
+            seen.append(len(p))
+            return (np.sum(p ** 2, axis=1) + np.abs(p[:, 0])
+                    + 0.3 * np.sin(3 * p[:, 1]))
+
+        x0 = np.random.default_rng(1).normal(0, 1, (6, 4))
+        digest = hashlib.sha256()
+        for k in (1, 2, 7, 300):
+            pts, vals, iters = nelder_mead_batch(objective, x0, max_iters=k,
+                                                 tol=1e-10)
+            digest.update(pts.tobytes() + vals.tobytes() + iters.tobytes())
+        assert digest.hexdigest() == \
+            "27c0c7c46468b02ef86231761ef7964f8e01587a2a8e7ade806878a59f1e9f1a"
+        assert sum(seen) == 3272
+        assert len(seen) == 626
 
     def test_loose_tolerance_freezes_early(self):
         def objective(p):
@@ -137,6 +160,11 @@ class TestConfigValidation:
     def test_bad_max_iters(self):
         with pytest.raises(InvalidInputError):
             OptimizerConfig(max_iters=0)
+
+    def test_bad_tol(self):
+        for bad in (-1e-3, math.nan, math.inf):
+            with pytest.raises(InvalidInputError):
+                OptimizerConfig(tol=bad)
 
     def test_bad_seed(self):
         with pytest.raises(InvalidInputError):
