@@ -1,7 +1,8 @@
 """Command-line front end: sweeps, bound reports, and theorem checks.
 
 Exit codes: 0 on success, 1 when a scientific check fails (a theorem
-verdict comes out opposite to expectation), 2 on usage errors.  All
+verdict comes out opposite to expectation), 2 on usage errors, 3 on a
+numerical failure (a RuntimeError such as an inconsistent LP tableau).  All
 randomized subcommands are deterministic given a seed; the NOSIG_SEED
 environment variable supplies a default seed and --seed overrides it.
 """
@@ -300,6 +301,9 @@ def main(argv=None) -> int:
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -67,10 +67,10 @@ def born_joint3(state: np.ndarray, dims: tuple[int, int, int],
 def clamp_probabilities(p: np.ndarray) -> np.ndarray:
     """Zero out round-off negatives; reject anything more negative."""
     if float(p.min()) < -tol.PROB_CLAMP:
-        raise InvalidInputError(f"negative probability {p.min()!r}")
+        raise InvalidInputError(f"negative probability {float(p.min())!r}")
     p = np.where(p < 0.0, 0.0, p)
     if abs(float(p.sum()) - 1.0) > tol.PROB_SUM:
-        raise InvalidInputError(f"probabilities sum to {p.sum()!r}")
+        raise InvalidInputError(f"probabilities sum to {float(p.sum())!r}")
     return p
 
 

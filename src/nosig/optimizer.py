@@ -9,8 +9,12 @@ all rows' follow-ups evaluated in one objective call.  A failed
 expansion keeps the reflection; a failed contraction shrinks the
 simplex by 1/2 towards its best vertex.
 All restarts of one search advance in lockstep as rows of a batch so the
-hot loop is numpy array code rather than a Python loop per restart;
-converged rows freeze while the rest continue.
+hot loop is numpy array code rather than a Python loop per restart.
+Each vertex keeps a fixed slot in an (R*(d+1), d) array and an (R, d+1)
+rank table lists each row's slots best first.  An iteration sorts and
+gathers only the live rows, in rank order, and writes new points into
+their slots; a row whose diameter falls below tol freezes, already
+sorted, and is never touched again.
 
 Determinism: restart r of grid point i draws from a private stream
 seeded by (seed XOR i) with spawn key (direction, r), so runs with the
@@ -90,20 +94,24 @@ def nelder_mead_batch(objective, x0: np.ndarray, *, max_iters: int,
     x = np.repeat(x0[:, None, :], d + 1, axis=1)
     for i in range(d):
         x[:, i + 1, i] += step
-    f = objective(x.reshape(r * (d + 1), d)).reshape(r, d + 1)
+    x = x.reshape(r * (d + 1), d)  # vertices stay in their slots
+    f = objective(x)
+    rank = np.arange(r * (d + 1)).reshape(r, d + 1)  # slots, best first
     iters = np.zeros(r, dtype=int)
-    active = np.ones(r, dtype=bool)
+    idx = np.arange(r)  # live rows; frozen rows stay sorted and untouched
 
     for k in range(max_iters + 1):
-        order = np.argsort(f, axis=1, kind="stable")
-        f = np.take_along_axis(f, order, axis=1)
-        x = np.take_along_axis(x, order[:, :, None], axis=1)
-        diameter = np.max(np.abs(x - x[:, :1, :]), axis=(1, 2))
-        active &= diameter >= tol
-        idx = np.nonzero(active)[0]
+        slots = rank[idx]
+        order = np.argsort(f[slots], axis=1, kind="stable")
+        rank[idx] = slots = np.take_along_axis(slots, order, axis=1)
+        xa = x[slots]
+        dev = xa - xa[:, :1, :]  # max-norm diameter, abs taken in place
+        live = np.abs(dev, out=dev).reshape(-1, (d + 1) * d).max(axis=1) >= tol
+        if not live.all():
+            idx, slots, xa = idx[live], slots[live], xa[live]
         if idx.size == 0 or k == max_iters:
             break
-        xa, fa = x[idx], f[idx]
+        fa = f[slots]
         centroid = np.mean(xa[:, :d, :], axis=1)
         xw, fw = xa[:, d, :], fa[:, d]
         fb, fsw = fa[:, 0], fa[:, d - 1]
@@ -128,16 +136,17 @@ def nelder_mead_batch(objective, x0: np.ndarray, *, max_iters: int,
             shrink[sub[~(ok | expand)]] = True  # a failed expansion keeps xr
 
         keep = ~shrink
-        rows = idx[keep]
-        x[rows, d, :] = new_x[keep]
-        f[rows, d] = new_f[keep]
+        worst = slots[keep, d]
+        x[worst] = new_x[keep]
+        f[worst] = new_f[keep]
         if np.any(shrink):
-            rows = idx[shrink]
-            x[rows, 1:, :] = x[rows, :1, :] + 0.5 * (x[rows, 1:, :] - x[rows, :1, :])
-            f[rows, 1:] = objective(x[rows, 1:, :].reshape(-1, d)).reshape(-1, d)
+            xs = xa[shrink]
+            xs = xs[:, :1, :] + 0.5 * (xs[:, 1:, :] - xs[:, :1, :])
+            x[slots[shrink, 1:]] = xs
+            f[slots[shrink, 1:]] = objective(xs.reshape(-1, d)).reshape(-1, d)
         iters[idx] += 1
 
-    return x[:, 0, :], f[:, 0], iters
+    return x[rank[:, 0]], f[rank[:, 0]], iters
 
 
 def _restart_rng(seed: int, grid_index: int, direction: int,

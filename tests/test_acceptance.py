@@ -6,6 +6,7 @@ run reads as a checklist.  The sweep criteria share one module-scoped
 dominates the runtime of this file.
 """
 
+import hashlib
 import json
 import math
 import subprocess
@@ -14,7 +15,7 @@ import sys
 import numpy as np
 import pytest
 
-from nosig.cli import main
+from nosig.cli import main, records_to_csv
 from nosig.correlations import (correlator, decompose, fach_closed_form,
                                 horodecki_chsh_max, quantum_joint, recompose)
 from nosig.bounds import measurement_bounds
@@ -70,6 +71,14 @@ def test_criterion_4_direction_symmetry(full_sweep):
         assert abs(rec.u_bar + rec.l_bar) <= 1e-3, \
             f"asymmetry at alpha={rec.alpha}: {rec.u_bar + rec.l_bar}"
     _report(4, "lower/upper symmetry")
+
+
+def test_canonical_sweep_csv_pinned(full_sweep):
+    # the CSV that `nosig sweep --grid 0:pi/2:21 --restarts 200 --seed 42`
+    # writes, pinned across commits
+    csv = records_to_csv(full_sweep).encode()
+    assert hashlib.sha256(csv).hexdigest() == \
+        "67386b7e3ee5424a326bd2ca625df6695b4dda4895a432a4122c531509b66169"
 
 
 def test_criterion_5_chsh_threshold():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from nosig import feasibility
 from nosig.cli import (CSV_HEADER, main, parse_angle, parse_grid,
                        parse_params)
 from nosig.errors import InvalidInputError
@@ -252,6 +253,18 @@ class TestUsageErrors:
     def test_sweep_nan_tol(self, capsys):
         assert main(SWEEP_ARGS + ["--tol", "nan"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_numerical_failure_returns_3(self, capsys, monkeypatch):
+        def unbounded(a, b):
+            raise RuntimeError("phase-one column unbounded; inconsistent "
+                               "tableau")
+
+        monkeypatch.setattr(feasibility, "_phase_one_simplex", unbounded)
+        assert main(["ghz-check"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: numerical failure: phase-one column "
+                                "unbounded; inconsistent tableau\n")
 
 
 class TestGoldenDigests:

@@ -107,6 +107,19 @@ class TestQuantumJoint:
         with pytest.raises(InvalidInputError):
             clamp_probabilities(p)
 
+    def test_error_messages_print_plain_floats(self):
+        p = np.full((2, 3, 2), 1.0 / 12)
+        p[0, 0, 0] += 1e-9
+        with pytest.raises(InvalidInputError) as exc:
+            clamp_probabilities(p)
+        assert str(exc.value) == f"probabilities sum to {float(p.sum())!r}"
+        assert "1.000000001" in str(exc.value)
+        assert "np.float64" not in str(exc.value)
+        p[0, 0, 0] = -1e-9
+        with pytest.raises(InvalidInputError) as exc:
+            clamp_probabilities(p)
+        assert str(exc.value) == "negative probability -1e-09"
+
 
 class TestDecomposition:
     def test_ghz_b0_components(self):

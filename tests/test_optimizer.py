@@ -62,6 +62,47 @@ class TestNelderMeadBatch:
         assert sum(seen) == 3272
         assert len(seen) == 626
 
+    def test_tie_order_pinned(self):
+        # a plateau objective makes many values tie exactly; the stable
+        # sort keeps tied vertices in rank order with the new vertex
+        # after those it ties with, and the digest pins that order
+        seen = []
+
+        def objective(p):
+            seen.append(len(p))
+            return np.floor(4.0 * np.sum(p ** 2, axis=1)) / 4.0
+
+        x0 = np.random.default_rng(3).normal(0, 1, (8, 5))
+        digest = hashlib.sha256()
+        for k in (1, 2, 7, 300):
+            pts, vals, iters = nelder_mead_batch(objective, x0, max_iters=k,
+                                                 tol=1e-10)
+            digest.update(pts.tobytes() + vals.tobytes() + iters.tobytes())
+        assert digest.hexdigest() == \
+            "fe86a62ffcfd744e84b1e33a4525dc2fb02fd5021de9c3c767b20fea0f039245"
+        assert sum(seen) == 2397
+        assert len(seen) == 268
+
+    def test_rows_independent_of_batch(self):
+        # rows starting on the flat region (p0 > 5) only shrink and freeze
+        # within a few iterations; the others run to max_iters
+        def objective(p):
+            bowl = np.sum(p ** 2, axis=1) + 0.3 * np.sin(3 * p[:, 1])
+            return np.where(p[:, 0] > 5.0, 1.0, bowl)
+
+        x0 = np.random.default_rng(4).normal(0, 1, (7, 4))
+        x0[[1, 4, 5], 0] = 10.0
+        pts, vals, iters = nelder_mead_batch(objective, x0, max_iters=50,
+                                             tol=1e-3)
+        assert np.all(iters[[1, 4, 5]] < 15)
+        assert np.all(iters[[0, 2, 3, 6]] == 50)
+        for i in range(len(x0)):
+            p1, v1, n1 = nelder_mead_batch(objective, x0[i:i + 1],
+                                           max_iters=50, tol=1e-3)
+            assert p1[0].tobytes() == pts[i].tobytes()
+            assert v1[0].tobytes() == vals[i].tobytes()
+            assert n1[0] == iters[i]
+
     def test_loose_tolerance_freezes_early(self):
         def objective(p):
             return np.sum(p ** 2, axis=1)
