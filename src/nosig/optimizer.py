@@ -14,7 +14,8 @@ Each vertex keeps a fixed slot in an (R*(d+1), d) array and an (R, d+1)
 rank table lists each row's slots best first.  An iteration sorts and
 gathers only the live rows, in rank order, and writes new points into
 their slots; a row whose diameter falls below tol freezes, already
-sorted, and is never touched again.
+sorted, and is never touched again.  The diameter test tries the worst
+vertex first, and the objective sees at most 1000 rows per call.
 
 Determinism: restart r of grid point i draws from a private stream
 seeded by (seed XOR i) with spawn key (direction, r), so runs with the
@@ -36,6 +37,7 @@ from .errors import InvalidInputError
 from .tolerances import SIMPLEX_DIAMETER
 
 _SIMPLEX_STEP = 0.3
+_BLOCK_ROWS = 1000  # largest batch one objective call sees
 _LOWER, _UPPER = 0, 1  # direction ids: stream key and family_chsh_bounds index
 
 
@@ -81,6 +83,26 @@ class SweepRecord:
     iterations_total: int
 
 
+def _in_blocks(objective, points: np.ndarray) -> np.ndarray:
+    """objective(points), called on slices of at most _BLOCK_ROWS rows."""
+    if len(points) <= _BLOCK_ROWS:
+        return objective(points)
+    return np.concatenate([objective(points[i:i + _BLOCK_ROWS])
+                           for i in range(0, len(points), _BLOCK_ROWS)])
+
+
+def _live(xa: np.ndarray, centroid: np.ndarray, tol: float) -> np.ndarray:
+    """max_vj |x_vj - x_0j| >= tol per row of xa (d+1, n, d) in rank order.
+    Rows the worst vertex leaves open, or whose centroid is not finite (NaN
+    or inf elsewhere would reach the max), take the full test."""
+    live = (np.abs(xa[-1] - xa[0]).max(axis=1) >= tol) \
+        & np.isfinite(centroid).all(axis=1)
+    rest = np.nonzero(~live)[0]
+    if rest.size:
+        live[rest] = np.abs(xa[:, rest] - xa[:1, rest]).max(axis=(0, 2)) >= tol
+    return live
+
+
 def nelder_mead_batch(objective, x0: np.ndarray, *, max_iters: int,
                       tol: float, step: float = _SIMPLEX_STEP):
     """Minimize objective over a batch of starts advanced in lockstep.
@@ -95,7 +117,7 @@ def nelder_mead_batch(objective, x0: np.ndarray, *, max_iters: int,
     for i in range(d):
         x[:, i + 1, i] += step
     x = x.reshape(r * (d + 1), d)  # vertices stay in their slots
-    f = objective(x)
+    f = _in_blocks(objective, x)
     rank = np.arange(r * (d + 1)).reshape(r, d + 1)  # slots, best first
     iters = np.zeros(r, dtype=int)
     idx = np.arange(r)  # live rows; frozen rows stay sorted and untouched
@@ -104,46 +126,40 @@ def nelder_mead_batch(objective, x0: np.ndarray, *, max_iters: int,
         slots = rank[idx]
         order = np.argsort(f[slots], axis=1, kind="stable")
         rank[idx] = slots = np.take_along_axis(slots, order, axis=1)
-        xa = x[slots]
-        dev = xa - xa[:, :1, :]  # max-norm diameter, abs taken in place
-        live = np.abs(dev, out=dev).reshape(-1, (d + 1) * d).max(axis=1) >= tol
+        fa = f[slots]
+        xa = np.take(x, slots.T, axis=0)  # (d+1, n, d), vertex-major
+        centroid = xa[:d].sum(axis=0) / d  # summed in rank order
+        live = _live(xa, centroid, tol)
         if not live.all():
-            idx, slots, xa = idx[live], slots[live], xa[live]
+            idx, slots, fa = idx[live], slots[live], fa[live]
+            xa, centroid = xa[:, live], centroid[live]
         if idx.size == 0 or k == max_iters:
             break
-        fa = f[slots]
-        centroid = np.mean(xa[:, :d, :], axis=1)
-        xw, fw = xa[:, d, :], fa[:, d]
-        fb, fsw = fa[:, 0], fa[:, d - 1]
+        xr = centroid + (centroid - xa[d])  # reflection, coef 1
+        fr = _in_blocks(objective, xr)
 
-        def trial(rows, coef):
-            xt = centroid[rows] + coef * (centroid[rows] - xw[rows])
-            return xt, objective(xt)
-
-        xr, fr = trial(slice(None), 1.0)
-        new_x, new_f = xr.copy(), fr.copy()
-        shrink = np.zeros(idx.size, dtype=bool)
-
-        sub = np.nonzero((fr < fb) | (fr >= fsw))[0]
+        sub = np.nonzero((fr < fa[:, 0]) | (fr >= fa[:, d - 1]))[0]
+        shrink = sub[:0]
         if sub.size:  # expansion and both contractions share one call
-            expand, inside = fr[sub] < fb[sub], fr[sub] >= fw[sub]
+            frs, fws = fr[sub], fa[sub, d]
+            expand, inside = frs < fa[sub, 0], frs >= fws
             coef = np.where(expand, 2.0, np.where(inside, -0.5, 0.5))
-            xt, ft = trial(sub, coef[:, None])
-            ok = np.where(expand, ft < fr[sub],
-                          np.where(inside, ft < fw[sub], ft <= fr[sub]))
-            new_x[sub[ok]] = xt[ok]
-            new_f[sub[ok]] = ft[ok]
-            shrink[sub[~(ok | expand)]] = True  # a failed expansion keeps xr
+            xt = centroid[sub] + coef[:, None] * (centroid[sub] - xa[d, sub])
+            ft = _in_blocks(objective, xt)
+            ok = np.where(expand, ft < frs,
+                          np.where(inside, ft < fws, ft <= frs))
+            xr[sub[ok]] = xt[ok]  # accepted points replace the reflection
+            fr[sub[ok]] = ft[ok]
+            shrink = sub[~(ok | expand)]  # a failed expansion keeps xr
 
-        keep = ~shrink
-        worst = slots[keep, d]
-        x[worst] = new_x[keep]
-        f[worst] = new_f[keep]
-        if np.any(shrink):
-            xs = xa[shrink]
+        x[slots[:, d]] = xr
+        f[slots[:, d]] = fr
+        if shrink.size:  # overwrites the worst slot written just above
+            xs = xa[:, shrink].swapaxes(0, 1)
             xs = xs[:, :1, :] + 0.5 * (xs[:, 1:, :] - xs[:, :1, :])
             x[slots[shrink, 1:]] = xs
-            f[slots[shrink, 1:]] = objective(xs.reshape(-1, d)).reshape(-1, d)
+            f[slots[shrink, 1:]] = _in_blocks(
+                objective, xs.reshape(-1, d)).reshape(-1, d)
         iters[idx] += 1
 
     return x[rank[:, 0]], f[rank[:, 0]], iters

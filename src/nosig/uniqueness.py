@@ -27,7 +27,7 @@ import numpy as np
 from . import tolerances as tol
 from .correlations import horodecki_chsh_max
 from .errors import DegenerateInputError, InvalidInputError
-from .optimizer import nelder_mead_batch
+from .optimizer import _in_blocks, nelder_mead_batch
 from .qlinalg import partial_trace, permute_subsystems
 from .states import psi1, psi2, rho_ac_analytic, rho_cb_analytic
 
@@ -239,8 +239,8 @@ def uniqueness_scan(alpha: float, n_samples: int = 10000,
     endpoints the marginals admit other compatible states.
     """
     a = _check_interior(alpha)
-    if n_samples < 1 or n_local_starts < 1:
-        raise InvalidInputError("n_samples and n_local_starts must be >= 1")
+    if not 1 <= n_local_starts <= n_samples:
+        raise InvalidInputError("need 1 <= n_local_starts <= n_samples")
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(entropy=seed, spawn_key=(2,))))
     chart = np.empty((n_samples, _CHART_DIM))
@@ -248,15 +248,14 @@ def uniqueness_scan(alpha: float, n_samples: int = 10000,
     chart[:, 1] = rng.uniform(0.0, math.pi / 2, n_samples)
     chart[:, 2:] = rng.standard_normal((n_samples, _CHART_DIM - 2))
     target = _bc_target(a)
-    res = _residual_chart(a, chart, target)
-
-    order = np.argsort(res, kind="stable")[:n_local_starts]
-    starts = np.vstack([_unique_point_chart()[None, :], chart[order]])
 
     def objective(points):
         return _residual_chart(a, points, target)
 
-    best = starts
+    res = _in_blocks(objective, chart)
+    order = np.argsort(res, kind="stable")[:n_local_starts]
+    best = np.vstack([_unique_point_chart()[None, :], chart[order]])
+
     for _ in range(3):  # restarted simplex rounds tighten stalled minima
         best, vals, _ = nelder_mead_batch(objective, best, max_iters=2000,
                                           tol=1e-12, step=0.1)

@@ -105,6 +105,12 @@ def test_criterion_6_marginal_feasibility(capsys):
         _report(6, "marginal feasibility verdicts")
 
 
+SCAN_REPR_SHA256 = {
+    0.5: "5b789ff2844d6c5e79fefc7756d10679454d91adb85ad7bde67703e00d2d1058",
+    0.85: "cd5334a66ec9b926fd6405f58bd854c7e85dad87abf374492b9b2be2e4c42aa4",
+}
+
+
 @pytest.mark.parametrize("cos2", [0.5, 0.85])
 def test_criterion_7_uniqueness_scan(cos2):
     alpha = math.acos(math.sqrt(cos2))
@@ -113,6 +119,8 @@ def test_criterion_7_uniqueness_scan(cos2):
     assert rep.max_distance_near_zero < 1e-3, \
         f"counterexample candidate at distance {rep.max_distance_near_zero}"
     assert rep.confirmed
+    assert hashlib.sha256(repr(rep).encode()).hexdigest() == \
+        SCAN_REPR_SHA256[cos2]
     _report(7, f"uniqueness scan at cos^2 = {cos2}")
 
 

@@ -218,6 +218,13 @@ class TestUniquenessCommand:
         assert main(["uniqueness", "--alpha", "0", "--samples", "10",
                      "--starts", "2"]) == 2
 
+    def test_more_starts_than_samples_usage_error(self, capsys):
+        assert main(["uniqueness", "--alpha", "pi/4", "--samples", "3",
+                     "--starts", "50"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "n_local_starts <= n_samples" in captured.err
+
 
 class TestBoundsCommand:
     def test_product_limit_window(self, capsys):

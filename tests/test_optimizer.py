@@ -6,8 +6,9 @@ import pytest
 
 from nosig.bounds import family_chsh_bounds
 from nosig.errors import InvalidInputError
-from nosig.optimizer import (OptimizerConfig, maximize_chsh_lower,
-                             minimize_chsh_upper, nelder_mead_batch, sweep)
+from nosig.optimizer import (_BLOCK_ROWS, OptimizerConfig, _in_blocks, _live,
+                             maximize_chsh_lower, minimize_chsh_upper,
+                             nelder_mead_batch, sweep)
 
 FAST = OptimizerConfig(restarts=20, max_iters=2000, tol=1e-10, seed=7)
 
@@ -111,6 +112,65 @@ class TestNelderMeadBatch:
         _, _, tight = nelder_mead_batch(objective, x0, max_iters=500, tol=1e-12)
         _, _, loose = nelder_mead_batch(objective, x0, max_iters=500, tol=1e-2)
         assert np.all(loose < tight)
+
+
+class TestLiveness:
+    TOL = 1e-6
+
+    @staticmethod
+    def brute(xa, tol):
+        return np.max(np.abs(xa - xa[:, :1, :]), axis=(1, 2)) >= tol
+
+    def check(self, xa):
+        with np.errstate(invalid="ignore"):
+            live = _live(np.ascontiguousarray(xa.swapaxes(0, 1)),
+                         xa[:, :-1, :].mean(axis=1), self.TOL)
+            assert live.tolist() == self.brute(xa, self.TOL).tolist()
+        return live
+
+    def test_crafted_simplices(self):
+        # rows are rank-ordered simplices (best vertex first, worst last)
+        xa = np.zeros((7, 4, 3))
+        xa[0, 2, 1] = self.TOL          # only a middle vertex is tol away
+        xa[1, 1:, :] = 0.5 * self.TOL   # every vertex within tol
+        xa[2, 3, 0] = self.TOL          # the worst vertex exactly tol away
+        xa[3, 3, 2] = np.nan            # NaN in the worst vertex
+        xa[4, 3, 0] = 1.0               # worst far, NaN in a middle vertex
+        xa[4, 1, 2] = np.nan
+        xa[5, 3, 0] = 1.0               # worst far, inf - inf in the others
+        xa[5, [0, 2], 1] = np.inf
+        xa[6, 3, 0] = -1.0              # worst far, finite elsewhere
+        assert self.check(xa).tolist() == [True, False, True, False, False,
+                                           False, True]
+
+    def test_random_simplices_match_brute_force(self):
+        rng = np.random.default_rng(11)
+        xa = rng.normal(0.0, 1.0, (200, 6, 5)) * \
+            10.0 ** rng.integers(-9, -4, (200, 1, 1))
+        xa[::3, -1, :] = xa[::3, 0, :]  # the short-cut cannot decide these
+        live = self.check(xa)
+        assert 0 < np.count_nonzero(live) < len(xa)
+
+
+class TestInBlocks:
+    @pytest.mark.parametrize("n", [1, 999, 1000, 1001, 3535])
+    def test_blocks_match_one_call(self, n):
+        seen = []
+
+        def objective(p):
+            seen.append(len(p))
+            return np.sum(p ** 2, axis=1) + np.sin(p[:, 0])
+
+        p = np.random.default_rng(n).normal(0.0, 1.0, (n, 6))
+        whole = objective(p)
+        seen.clear()
+        assert _in_blocks(objective, p).tobytes() == whole.tobytes()
+        assert len(seen) == math.ceil(n / _BLOCK_ROWS) == math.ceil(n / 1000)
+        assert max(seen) <= 1000
+
+    def test_zero_rows(self):
+        out = _in_blocks(lambda p: np.sum(p, axis=1), np.empty((0, 6)))
+        assert out.shape == (0,)
 
 
 class TestEndpoints:

@@ -223,6 +223,14 @@ class TestScan:
         with pytest.raises(InvalidInputError):
             uniqueness_scan(0.7, n_samples=10, n_local_starts=0)
 
+    def test_more_starts_than_samples_rejected(self):
+        # the scan would run only n_samples random starts but report more
+        with pytest.raises(InvalidInputError,
+                           match="n_local_starts <= n_samples"):
+            uniqueness_scan(math.pi / 4, n_samples=3, n_local_starts=50)
+        rep = uniqueness_scan(math.pi / 4, n_samples=3, n_local_starts=3)
+        assert rep.n_local_starts == 3
+
 
 class TestTheorem2:
     def test_violating_regime(self):
