@@ -1,10 +1,10 @@
 """Command-line front end: sweeps, bound reports, and theorem checks.
 
 Exit codes: 0 on success, 1 when a scientific check fails (a theorem
-verdict comes out opposite to expectation), 2 on usage errors, 3 on a
-numerical failure (a RuntimeError such as an inconsistent LP tableau).  All
-randomized subcommands are deterministic given a seed; the NOSIG_SEED
-environment variable supplies a default seed and --seed overrides it.
+verdict comes out opposite to expectation), 2 on usage errors, an
+unwritable --out path included, 3 on a numerical failure (a RuntimeError
+such as an inconsistent LP tableau).  Randomized subcommands are
+deterministic given --seed, which defaults to 0.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 
@@ -27,7 +26,7 @@ from .errors import DegenerateInputError, InvalidInputError, \
 from .feasibility import theorem1_check
 from .measurements import SettingsFamily
 from .optimizer import OptimizerConfig, SweepRecord, sweep
-from .states import rho_ac_analytic
+from .states import _check_alpha, rho_ac_analytic
 from .uniqueness import uniqueness_scan
 
 CSV_HEADER = ("alpha,cos2_alpha,L_bar,U_bar,restarts,iterations_total,"
@@ -79,9 +78,7 @@ def parse_grid(text: str) -> tuple[float, ...]:
             raise InvalidInputError("empty grid")
         if np.any(np.diff(values) <= 0):
             raise InvalidInputError("grid values must be strictly increasing")
-    if values[0] < 0.0 or values[-1] > math.pi / 2 + 1e-12:
-        raise InvalidInputError("grid values must lie in [0, pi/2]")
-    return tuple(float(v) for v in values)
+    return tuple(_check_alpha(v) for v in values)
 
 
 def parse_params(text: str) -> list[float]:
@@ -124,19 +121,6 @@ def records_to_json(records, precision: int = 9) -> str:
                       indent=2) + "\n"
 
 
-def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("NOSIG_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise InvalidInputError(f"NOSIG_SEED={env!r} is not an integer") \
-                from None
-    return 0
-
-
 def _write_output(text: str, path: str | None):
     if path is None:
         sys.stdout.write(text)
@@ -146,8 +130,10 @@ def _write_output(text: str, path: str | None):
 
 
 def _cmd_sweep(args) -> int:
+    if args.precision < 1:
+        raise InvalidInputError(f"--precision {args.precision} is below 1")
     cfg = OptimizerConfig(restarts=args.restarts, max_iters=args.max_iters,
-                          tol=args.tol, seed=_resolve_seed(args),
+                          tol=args.tol, seed=args.seed,
                           alpha_grid=parse_grid(args.grid))
     records = sweep(cfg)
     text = (records_to_csv(records, args.precision) if args.format == "csv"
@@ -221,8 +207,7 @@ def _cmd_ghz_check(args) -> int:
 
 def _cmd_uniqueness(args) -> int:
     rep = uniqueness_scan(parse_angle(args.alpha), n_samples=args.samples,
-                          n_local_starts=args.starts,
-                          seed=_resolve_seed(args))
+                          n_local_starts=args.starts, seed=args.seed)
     print(f"alpha={rep.alpha:.9g} samples={rep.n_samples} "
           f"local_starts={rep.n_local_starts} seed={rep.seed}")
     print(f"min residual      : {rep.min_residual:.6e}")
@@ -252,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=200)
     p.add_argument("--max-iters", type=int, default=2000)
     p.add_argument("--tol", type=float, default=tol.SIMPLEX_DIAMETER)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--precision", type=int, default=9,
@@ -287,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", required=True)
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--starts", type=int, default=100)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_uniqueness)
     return parser
 
@@ -298,7 +283,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (InvalidInputError, InvalidMarginalError, DegenerateInputError,
-            ValueError) as exc:
+            ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -34,6 +34,7 @@ import numpy as np
 
 from .bounds import family_chsh_bounds
 from .errors import InvalidInputError
+from .states import _check_alpha
 from .tolerances import SIMPLEX_DIAMETER
 
 _SIMPLEX_STEP = 0.3
@@ -59,8 +60,7 @@ class OptimizerConfig:
         if not (0 <= self.seed < 2 ** 64):
             raise InvalidInputError("seed must fit in 64 unsigned bits")
         for a in self.alpha_grid:
-            if not (0.0 <= a <= math.pi / 2 + 1e-12):
-                raise InvalidInputError(f"grid value {a!r} outside [0, pi/2]")
+            _check_alpha(a)
 
 
 @dataclass(frozen=True)

@@ -45,24 +45,28 @@ def check_density(m) -> np.ndarray:
     return a
 
 
-def partial_trace(rho, dims: Sequence[int], keep) -> np.ndarray:
-    """Reduced matrix of rho on the kept subsystems, in original order.
-
-    dims lists the subsystem dimensions whose product must match rho;
-    keep is an iterable of subsystem indices to retain.
-    """
+def _subsystem_tensor(rho, dims: Sequence[int]):
+    """rho as the dims + dims tensor, and dims as a tuple of ints."""
     a = as_complex_matrix(rho)
     dims = tuple(int(d) for d in dims)
     total = math.prod(dims)
     if a.shape != (total, total):
         raise InvalidInputError(
             f"dims {dims} imply shape {(total, total)}, got {a.shape}")
+    return a.reshape(dims + dims), dims
+
+
+def partial_trace(rho, dims: Sequence[int], keep) -> np.ndarray:
+    """Reduced matrix of rho on the kept subsystems, in original order.
+
+    dims lists the subsystem dimensions whose product must match rho;
+    keep is an iterable of subsystem indices to retain.
+    """
+    t, dims = _subsystem_tensor(rho, dims)
     keep = sorted(set(int(k) for k in keep))
     if any(k < 0 or k >= len(dims) for k in keep):
         raise InvalidInputError(f"keep indices {keep} out of range")
-
     n = len(dims)
-    t = a.reshape(dims + dims)
     # Trace out discarded subsystems from the highest index down so that
     # earlier axis numbers stay valid.
     removed = [i for i in range(n) if i not in keep]
@@ -76,17 +80,11 @@ def partial_trace(rho, dims: Sequence[int], keep) -> np.ndarray:
 
 def permute_subsystems(rho, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
     """Reorder the tensor factors of rho: subsystem perm[i] moves to slot i."""
-    a = as_complex_matrix(rho)
-    dims = tuple(int(d) for d in dims)
-    total = math.prod(dims)
-    if a.shape != (total, total):
-        raise InvalidInputError(
-            f"dims {dims} imply shape {(total, total)}, got {a.shape}")
+    t, dims = _subsystem_tensor(rho, dims)
     perm = tuple(int(p) for p in perm)
     if sorted(perm) != list(range(len(dims))):
         raise InvalidInputError(f"perm {perm} is not a permutation")
     n = len(dims)
-    t = a.reshape(dims + dims)
     axes = perm + tuple(p + n for p in perm)
     d = math.prod(dims)
     return np.transpose(t, axes).reshape(d, d)

@@ -29,7 +29,7 @@ from .correlations import horodecki_chsh_max
 from .errors import DegenerateInputError, InvalidInputError
 from .optimizer import _in_blocks, nelder_mead_batch
 from .qlinalg import partial_trace, permute_subsystems
-from .states import psi1, psi2, rho_ac_analytic, rho_cb_analytic
+from .states import _check_alpha, psi1, psi2, rho_ac_analytic, rho_cb_analytic
 
 _X_DIM = 4
 _CHART_DIM = 2 + 4 * 2 * _X_DIM  # two Schmidt angles + four complex 4-vectors
@@ -167,15 +167,22 @@ def residual(alpha: float, p: PurificationParams) -> UniquenessVerdict:
 
 
 def _check_interior(alpha: float) -> float:
-    a = float(alpha)
-    if not (0.0 < a < math.pi / 2):
+    a = _check_alpha(alpha)
+    if a in (0.0, math.pi / 2):
         raise InvalidInputError(
             f"alpha={a!r} must lie strictly inside (0, pi/2)")
     return a
 
 
-def _chart_states(alpha: float, chart: np.ndarray):
-    """Batched purifications of chart rows: (phi, c1, x10, e2, bad).
+def _to_chart(p: PurificationParams) -> np.ndarray:
+    """The scan-chart row of p: Schmidt angles, then re/im of x10..x21."""
+    vecs = np.array([p.x10, p.x11, p.x20, p.x21])
+    return np.concatenate([[math.atan2(p.c1, p.c0), math.atan2(p.d1, p.d0)],
+                           np.stack([vecs.real, vecs.imag], axis=-1).ravel()])
+
+
+def _chart_states(chart: np.ndarray):
+    """Batched E blocks of chart rows: (e1, e2, c1, x10, bad).
 
     The Schmidt angles give the weights; each vector pair (x10, x11),
     (x20, x21) is Gram-Schmidt orthonormalized.  Degenerate rows are
@@ -198,34 +205,25 @@ def _chart_states(alpha: float, chart: np.ndarray):
     second, b = normalized(second)
     x = np.stack([first, second], axis=2).reshape(r, 4, _X_DIM)
     e1, e2, collapsed = _e_blocks(w, x)
-    return (_purification(alpha, e1, e2), w[:, 1], x[:, 0], e2,
-            bad | b | collapsed)
+    return e1, e2, w[:, 1], x[:, 0], bad | b | collapsed
 
 
 def _residual_chart(alpha: float, chart: np.ndarray,
                     target: np.ndarray) -> np.ndarray:
     """Batched scan objective: Frobenius error of the B-C marginal against
     target = _bc_target(alpha), penalized when degenerate."""
-    phi, _, _, _, bad = _chart_states(alpha, chart)
+    e1, e2, _, _, bad = _chart_states(chart)
+    phi = _purification(alpha, e1, e2)
+    del e1, e2, _  # so the E blocks and x10 do not raise peak memory
     rho_bc = np.einsum("rabcx,raBCx->rbcBC", phi, phi.conj()).reshape(-1, 6, 6)
     out = np.linalg.norm((rho_bc - target).reshape(len(chart), -1), axis=1)
     return np.where(bad, _PENALTY, out)
 
 
-def _distance_chart(alpha: float, chart: np.ndarray) -> np.ndarray:
+def _distance_chart(chart: np.ndarray) -> np.ndarray:
     """Batched distance-to-unique-point on effective parameters."""
-    _, c1, x10, e2, bad = _chart_states(alpha, chart)
+    _, e2, c1, x10, bad = _chart_states(chart)
     return np.where(bad, _PENALTY, _distance(c1, x10, e2))
-
-
-def _unique_point_chart() -> np.ndarray:
-    chart = np.zeros(_CHART_DIM)
-    chart[1] = math.pi / 2                       # d0 = 0, d1 = 1
-    chart[2 + 0 * 8 + 0] = 1.0                   # x10 = e0
-    chart[2 + 1 * 8 + 2] = 1.0                   # x11 = e1
-    chart[2 + 2 * 8 + 2] = 1.0                   # x20 = e1
-    chart[2 + 3 * 8 + 0] = 1.0                   # x21 = e0
-    return chart
 
 
 def uniqueness_scan(alpha: float, n_samples: int = 10000,
@@ -254,12 +252,12 @@ def uniqueness_scan(alpha: float, n_samples: int = 10000,
 
     res = _in_blocks(objective, chart)
     order = np.argsort(res, kind="stable")[:n_local_starts]
-    best = np.vstack([_unique_point_chart()[None, :], chart[order]])
+    best = np.vstack([_to_chart(unique_point_params()), chart[order]])
 
     for _ in range(3):  # restarted simplex rounds tighten stalled minima
         best, vals, _ = nelder_mead_batch(objective, best, max_iters=2000,
-                                          tol=1e-12, step=0.1)
-    dists = _distance_chart(a, best)
+                                          tol=tol.SCAN_DIAMETER, step=0.1)
+    dists = _distance_chart(best)
     k = int(np.argmin(vals))
     near = vals < tol.NEAR_ZERO_RESIDUAL
     max_dist_near = float(np.max(dists[near])) if np.any(near) else 0.0
@@ -286,8 +284,8 @@ class Theorem2Report:
         return self.scan.confirmed and self.chsh_max > 2.0 + tol.VIOLATION_STRICT
 
 
-def theorem2_check(alpha: float, n_samples: int = 2000,
-                   n_local_starts: int = 25, seed: int = 0) -> Theorem2Report:
+def theorem2_check(alpha: float, n_samples: int = 10000,
+                   n_local_starts: int = 100, seed: int = 0) -> Theorem2Report:
     """Uniqueness scan combined with the A-C CHSH maximum.
 
     The contradiction (hence signaling) arises when cos^2(alpha) exceeds

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from nosig import feasibility
+from nosig import cli, feasibility
 from nosig.cli import (CSV_HEADER, main, parse_angle, parse_grid,
                        parse_params)
 from nosig.errors import InvalidInputError
@@ -49,9 +49,14 @@ class TestParseGrid:
     def test_single_point_range(self):
         assert parse_grid("pi/4:pi/4:1") == (pytest.approx(math.pi / 4),)
 
+    def test_half_pi_is_exact(self):
+        assert parse_grid("pi/2") == (math.pi / 2,)
+        assert parse_grid("0:pi/2:21")[-1] == math.pi / 2
+
     def test_rejects_malformed(self):
         for bad in ("0:1", "0:1:2:3", "0:1:x", "0:1:0", "1:0:3",
-                    "0.5,0.4", "", "0,2.0"):
+                    "0.5,0.4", "", "0,2.0", "nan", "0,nan", "nan,0.5",
+                    "0,1.5707963267949"):
             with pytest.raises(InvalidInputError):
                 parse_grid(bad)
 
@@ -116,21 +121,21 @@ class TestSweepCommand:
         main(SWEEP_ARGS)
         assert path.read_text() == capsys.readouterr().out
 
-    def test_env_seed_default(self, capsys, monkeypatch):
-        base = SWEEP_ARGS[:-2]  # drop --seed 4
-        monkeypatch.setenv("NOSIG_SEED", "4")
-        main(base)
-        env_out = capsys.readouterr().out
-        main(SWEEP_ARGS)
-        assert env_out == capsys.readouterr().out
-
     def test_explicit_seed_overrides_env(self, capsys, monkeypatch):
+        # --seed is the only seed source: NOSIG_SEED changes nothing
+        base = SWEEP_ARGS[:-2]  # drop --seed 4
         monkeypatch.setenv("NOSIG_SEED", "9")
         main(SWEEP_ARGS)
-        with_env = capsys.readouterr().out
+        explicit = capsys.readouterr().out
+        main(base)
+        default = capsys.readouterr().out
         monkeypatch.delenv("NOSIG_SEED")
         main(SWEEP_ARGS)
-        assert with_env == capsys.readouterr().out
+        assert explicit == capsys.readouterr().out
+        main(base + ["--seed", "0"])
+        assert default == capsys.readouterr().out
+        main(base + ["--seed", "9"])
+        assert default != capsys.readouterr().out
 
     def test_missing_seed_defaults_to_zero(self, capsys, monkeypatch):
         monkeypatch.delenv("NOSIG_SEED", raising=False)
@@ -140,10 +145,25 @@ class TestSweepCommand:
         main(base + ["--seed", "0"])
         assert default_out == capsys.readouterr().out
 
-    def test_bad_env_seed(self, capsys, monkeypatch):
-        monkeypatch.setenv("NOSIG_SEED", "not-a-number")
-        assert main(SWEEP_ARGS[:-2]) == 2
-        assert "NOSIG_SEED" in capsys.readouterr().err
+    def test_unwritable_out_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        assert main(SWEEP_ARGS + ["--out", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("precision", ["0", "-1"])
+    def test_bad_precision_rejected_before_search(self, capsys, monkeypatch,
+                                                  precision):
+        def no_search(cfg):
+            raise AssertionError("sweep ran despite a bad --precision")
+
+        monkeypatch.setattr(cli, "sweep", no_search)
+        assert main(SWEEP_ARGS + ["--precision", precision]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--precision" in captured.err
 
     def test_bad_grid_usage_error(self, capsys):
         assert main(["sweep", "--grid", "1:0:5"]) == 2
@@ -251,6 +271,20 @@ class TestUsageErrors:
         params = ",".join(["0.3"] * 14)
         assert main(["bounds", "--alpha", alpha, "--params", params]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["1.5707963267949", "2.0"])
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--restarts", "1", "--max-iters", "1", "--grid"],
+        ["bounds", "--params", ",".join(["0.3"] * 14), "--alpha"],
+        ["chsh", "--alpha"],
+        ["decompose", "--params", ",".join(["0.3"] * 14), "--alpha"],
+        ["uniqueness", "--samples", "2", "--starts", "1", "--alpha"]])
+    def test_alpha_above_half_pi(self, capsys, command, alpha):
+        # one range rule for every command: [0, pi/2] with no slack
+        assert main(command + [alpha]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "outside [0, pi/2]" in captured.err
 
     def test_bounds_non_finite_param(self, capsys):
         params = ",".join(["0.3"] * 13 + ["nan"])

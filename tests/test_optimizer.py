@@ -276,3 +276,7 @@ class TestConfigValidation:
     def test_bad_grid_value(self):
         with pytest.raises(InvalidInputError):
             OptimizerConfig(alpha_grid=(0.1, 2.0))
+        for bad in (math.pi / 2 + 1e-13, -1e-300, math.nan):
+            with pytest.raises(InvalidInputError):
+                OptimizerConfig(alpha_grid=(bad,))
+        OptimizerConfig(alpha_grid=(0.0, math.pi / 2))

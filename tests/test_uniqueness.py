@@ -7,8 +7,8 @@ from nosig.errors import (DegenerateInputError, InvalidInputError)
 from nosig.qlinalg import partial_trace
 from nosig.states import rho_ab_analytic, rho_ac_analytic
 from nosig.uniqueness import (_PENALTY, PurificationParams, _bc_target,
-                              _distance_chart, _residual_chart,
-                              _unique_point_chart, build_purification,
+                              _distance_chart, _residual_chart, _to_chart,
+                              build_purification,
                               distance_to_unique_point, residual,
                               theorem2_check, unique_point_params,
                               uniqueness_scan)
@@ -29,14 +29,6 @@ def random_params(rng):
     return PurificationParams(c0=math.cos(tc), c1=math.sin(tc),
                               d0=math.cos(td), d1=math.sin(td),
                               x10=x10, x11=x11, x20=x20, x21=x21)
-
-
-def params_to_chart(p):
-    """The scan-chart row of a parameter point (Schmidt angles, then the
-    real and imaginary parts of x10, x11, x20, x21)."""
-    vecs = np.array([p.x10, p.x11, p.x20, p.x21])
-    return np.concatenate([[math.atan2(p.c1, p.c0), math.atan2(p.d1, p.d0)],
-                           np.stack([vecs.real, vecs.imag], axis=-1).ravel()])
 
 
 class TestParamsValidation:
@@ -172,10 +164,9 @@ class TestChartObjective:
         rng = np.random.default_rng(73)
         alpha = 0.9
         ps = [unique_point_params()] + [random_params(rng) for _ in range(40)]
-        chart = np.array([params_to_chart(p) for p in ps])
-        assert np.array_equal(chart[0], _unique_point_chart())
+        chart = np.array([_to_chart(p) for p in ps])
         res = _residual_chart(alpha, chart, _bc_target(alpha))
-        dist = _distance_chart(alpha, chart)
+        dist = _distance_chart(chart)
         for k, p in enumerate(ps):
             v = residual(alpha, p)
             assert res[k] == pytest.approx(v.residual, abs=1e-12)
