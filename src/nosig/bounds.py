@@ -8,8 +8,9 @@ completion.  A family whose lower bound exceeds 2 (or upper bound falls
 below -2) would force a CHSH violation on any no-signaling completion.
 
 One batched kernel gives the per-outcome h ranges of the four
-measurement pairs.  family_chsh_bounds sums them over a batch of
-14-parameter families (the optimizer's hot loop); family_bounds is a
+measurement pairs, outcome-major with the row axis last, so a sum over
+outcomes is two slab adds.  family_chsh_bounds sums them over a batch
+of 14-parameter families (the optimizer's hot loop); family_bounds is a
 batch of one.  measurement_bounds is the checked per-triple path.  All
 share the closed form correlations.outcome_terms, so the independent
 check is the Born rule: the test suite rebuilds the window from
@@ -94,33 +95,36 @@ class FamilyBounds:
                 or self.chsh_upper < -2.0 - tol.VIOLATION_STRICT)
 
 
-def _pair_ranges(alpha: float, p: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-outcome h ranges (lower, upper), each (R, 4, 3), of the
-    measurement pairs 11, 12, 21, 22 for (R, 14) parameter rows."""
-    f, g = outcome_terms(alpha, batched_columns(p[:, 8:14]))
-    # biases of a1, a2, c1, c2 along their Bloch vectors, (R, 4, outcome)
-    bias = np.einsum("rba,rka->rkb", g, bloch_vectors(p[:, 0:8:2], p[:, 1:8:2]))
-    return _h_range(f[:, None, :], bias[:, [0, 0, 1, 1]], bias[:, [2, 3, 2, 3]])
+def _pair_ranges(alpha: float, p: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per-outcome h ranges (lower, upper), each (3, 2, 2, R), of (R, 14)
+    parameter rows, then their sums over outcomes, each (2, 2, R).  Index
+    [b, x, z, r] is outcome b of the pair of A setting x and C setting z."""
+    pt = np.ascontiguousarray(p.T)
+    f, g = outcome_terms(alpha, batched_columns(pt[8:14]))
+    nx, ny, nz = bloch_vectors(pt[0:8:2], pt[1:8:2])
+    # biases of a1, a2, c1, c2 along their Bloch vectors, (outcome, 4, R)
+    bias = g[:, 0, None] * nx + g[:, 1, None] * ny + g[:, 2, None] * nz
+    lo, up = _h_range(f[:, None, None], bias[:, :2, None], bias[:, None, 2:])
+    return lo, up, lo[0] + lo[1] + lo[2], up[0] + up[1] + up[2]
 
 
-def _chsh_window(lower_sum, upper_sum):
-    """(L11 + L12 + L21 - U22, U11 + U12 + U21 - L22); last axis: pair."""
-    lo, up = lower_sum.T, upper_sum.T
-    return lo[0] + lo[1] + lo[2] - up[3], up[0] + up[1] + up[2] - lo[3]
+def _chsh_window(lo, up):
+    """(L11 + L12 + L21 - U22, U11 + U12 + U21 - L22) from pair sums."""
+    return (lo[0, 0] + lo[0, 1] + lo[1, 0] - up[1, 1],
+            up[0, 0] + up[0, 1] + up[1, 0] - lo[1, 1])
 
 
 def family_bounds(alpha: float, fam: SettingsFamily) -> FamilyBounds:
     """CHSH bound window of a four-measurement family with shared B basis."""
     alpha = _check_alpha(alpha)
-    lower, upper = _pair_ranges(alpha, np.array([fam.to_params()]))
-    lower_sum, upper_sum = np.sum(lower[0], axis=1), np.sum(upper[0], axis=1)
-    chsh_lower, chsh_upper = _chsh_window(lower_sum, upper_sum)
+    lo, up, lo_sum, up_sum = _pair_ranges(alpha, np.array([fam.to_params()]))
+    chsh_lower, chsh_upper = _chsh_window(lo_sum, up_sum)
     return FamilyBounds(
-        *(BoundsReport(lower_b=lower[0, k], upper_b=upper[0, k],
-                       lower_sum=float(lower_sum[k]),
-                       upper_sum=float(upper_sum[k])) for k in range(4)),
-        chsh_lower=float(chsh_lower), chsh_upper=float(chsh_upper))
+        *(BoundsReport(lower_b=lo[:, x, z, 0], upper_b=up[:, x, z, 0],
+                       lower_sum=float(lo_sum[x, z, 0]),
+                       upper_sum=float(up_sum[x, z, 0]))
+          for x in range(2) for z in range(2)),
+        chsh_lower=float(chsh_lower[0]), chsh_upper=float(chsh_upper[0]))
 
 
 def family_chsh_bounds(alpha: float, params: np.ndarray
@@ -131,8 +135,5 @@ def family_chsh_bounds(alpha: float, params: np.ndarray
     result is a pair of (R,) arrays.  family_bounds is the same kernel on
     a batch of one; the test suite checks both against the Born rule.
     """
-    p = np.asarray(params, dtype=float)
-    if p.ndim == 1:
-        p = p[None, :]
-    lower, upper = _pair_ranges(alpha, p)
-    return _chsh_window(np.sum(lower, axis=2), np.sum(upper, axis=2))
+    p = np.atleast_2d(np.asarray(params, dtype=float))
+    return _chsh_window(*_pair_ranges(alpha, p)[2:])

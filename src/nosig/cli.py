@@ -135,6 +135,8 @@ def _cmd_sweep(args) -> int:
     cfg = OptimizerConfig(restarts=args.restarts, max_iters=args.max_iters,
                           tol=args.tol, seed=args.seed,
                           alpha_grid=parse_grid(args.grid))
+    if args.out is not None:
+        open(args.out, "a").close()  # fail before the search, truncate nothing
     records = sweep(cfg)
     text = (records_to_csv(records, args.precision) if args.format == "csv"
             else records_to_json(records, args.precision))

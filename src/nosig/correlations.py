@@ -110,23 +110,21 @@ def outcome_terms(alpha: float, columns: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form f and bias vectors g per trit outcome, batched.
 
-    columns has shape (..., 3, 3) and holds the qutrit eigenvectors as
-    columns.  Returns f of shape (..., 3) and g of shape (..., outcome,
-    axis): the qubit bias of outcome b along Bloch vector n is g[b] . n.
-    Everything depends on the columns only through |b_i|^2 and
-    b0 b2* + b2 b1*, so per-column phases drop out.
+    columns has shape (3, 3, ...) and holds the qutrit eigenvectors as
+    columns, batch axes last.  Returns f of shape (outcome, ...) and g of
+    shape (outcome, axis, ...): the qubit bias of outcome b along Bloch
+    vector n is g[b] . n.  Everything depends on the columns only through
+    |b_i|^2 and b0 b2* + b2 b1*, so per-column phases drop out.
     """
     ca2 = math.cos(alpha) ** 2
     sa2 = math.sin(alpha) ** 2
     s2a = math.sin(2.0 * alpha)
-    b0, b1, b2 = columns[..., 0, :], columns[..., 1, :], columns[..., 2, :]
-    n0 = b0.real ** 2 + b0.imag ** 2
-    n1 = b1.real ** 2 + b1.imag ** 2
-    n2 = b2.real ** 2 + b2.imag ** 2
+    b0, b1, b2 = columns
+    n0, n1, n2 = columns.real ** 2 + columns.imag ** 2
     f = ca2 * n2 + 0.5 * sa2 * (1.0 - n2)
     w = b0 * b2.conj() + b2 * b1.conj()
     g = np.stack([0.5 * s2a * w.real, 0.5 * s2a * w.imag,
-                  0.5 * sa2 * (n0 - n1)], axis=-1)
+                  0.5 * sa2 * (n0 - n1)], axis=1)
     return f, g
 
 

@@ -4,8 +4,9 @@ Qubits carry the usual Bloch-sphere chart (theta, phi); the qutrit basis
 is the column set of a product of three phased Givens rotations acting on
 coordinate pairs (0,1), (0,2), (1,2).  Six angles cover every orthonormal
 basis up to per-column phases, which no downstream quantity depends on.
-The Givens chart is written once, batched over rows; a single basis is a
-batch of one.  The Bloch chart has a scalar form for single settings and
+The Givens chart is written once, as the entrywise product of the three
+rotations batched over a trailing row axis; a single basis is a batch of
+one.  The Bloch chart has a scalar form for single settings and
 a batched form for the optimizer's hot loop.
 """
 
@@ -84,40 +85,38 @@ def qubit_projector(s: BlochSetting, outcome: int) -> np.ndarray:
     return 0.5 * (np.eye(2, dtype=np.complex128) + outcome * n_sigma)
 
 
-def bloch_vectors(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Batched Bloch chart: unit vectors of shape theta.shape + (3,)."""
+def bloch_vectors(theta: np.ndarray, phi: np.ndarray) -> tuple:
+    """Batched Bloch chart: the (x, y, z) components, each theta's shape."""
     st = np.sin(theta)
-    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)],
-                    axis=-1)
-
-
-def _givens(j: int, k: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Batched phased Givens rotations on coordinates (j, k), shape (R, 3, 3):
-    cos on the diagonal, -e^{i phi} sin and e^{-i phi} sin off it."""
-    g = np.zeros((theta.shape[0], 3, 3), dtype=np.complex128)
-    g[:, 0, 0] = g[:, 1, 1] = g[:, 2, 2] = 1.0
-    c = np.cos(theta)
-    s = np.sin(theta)
-    e = np.exp(1j * phi)
-    g[:, j, j] = c
-    g[:, k, k] = c
-    g[:, j, k] = -s * e
-    g[:, k, j] = s * e.conj()
-    return g
+    return st * np.cos(phi), st * np.sin(phi), np.cos(theta)
 
 
 def batched_columns(b_angles: np.ndarray) -> np.ndarray:
-    """Batched qutrit basis matrices, shape (R, 3, 3), from (R, 6) angles:
-    G01(t1,p1) @ G02(t2,p2) @ G12(t3,p3) per row."""
-    t1, p1, t2, p2, t3, p3 = (b_angles[:, i] for i in range(6))
-    return (_givens(0, 1, t1, p1)
-            @ _givens(0, 2, t2, p2)
-            @ _givens(1, 2, t3, p3))
+    """G01(t1,p1) G02(t2,p2) G12(t3,p3) written out entrywise, (3, 3, R),
+    from angles (t1, p1, t2, p2, t3, p3) of shape (6, R).  G_jk is the
+    identity but cos t at jj, kk, -e^{ip} sin t at jk, e^{-ip} sin t at kj."""
+    c = np.cos(b_angles)
+    s = np.sin(b_angles)
+    c1, c2, c3 = c[0::2]
+    q, a, r = s[0::2] * (c[1::2] + 1j * s[1::2])  # s_k e^{i p_k}
+    qc, rc = q.conj(), r.conj()
+    arc = a * rc
+    u = np.empty((3, 3) + c1.shape, dtype=np.complex128)
+    np.multiply(c1, c2, out=u[0, 0])
+    np.multiply(c2, qc, out=u[1, 0])
+    np.conjugate(a, out=u[2, 0])
+    np.negative(c3 * q + c1 * arc, out=u[0, 1])
+    np.subtract(c1 * c3, qc * arc, out=u[1, 1])
+    np.multiply(c2, rc, out=u[2, 1])
+    np.subtract(q * r, (c1 * c3) * a, out=u[0, 2])
+    np.negative(c1 * r + c3 * (qc * a), out=u[1, 2])
+    np.multiply(c2, c3, out=u[2, 2])
+    return u
 
 
 def qutrit_unitary(q: QutritBasis) -> np.ndarray:
     """The basis matrix of one qutrit setting; columns are the basis."""
-    return batched_columns(np.array([q.angles]))[0]
+    return batched_columns(np.array(q.angles)[:, None])[..., 0]
 
 
 def qutrit_projector(q: QutritBasis, outcome: int) -> np.ndarray:

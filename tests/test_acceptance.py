@@ -78,7 +78,7 @@ def test_canonical_sweep_csv_pinned(full_sweep):
     # writes, pinned across commits
     csv = records_to_csv(full_sweep).encode()
     assert hashlib.sha256(csv).hexdigest() == \
-        "67386b7e3ee5424a326bd2ca625df6695b4dda4895a432a4122c531509b66169"
+        "c0d4def062dd7847bc7dd32b280aa6b4ef7fe44feb982bd06f9ae71894c226aa"
 
 
 def test_criterion_5_chsh_threshold():

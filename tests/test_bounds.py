@@ -220,11 +220,25 @@ class TestBatchedPath:
             assert lo1[0] == lo_all[k]
             assert up1[0] == up_all[k]
 
+    def test_block_slices_and_single_rows_bitwise(self):
+        # optimizer._in_blocks evaluates large batches 1000 rows at a time
+        rng = np.random.default_rng(54)
+        batch = rng.uniform(-2 * math.pi, 4 * math.pi, (2500, 14))
+        lo_all, up_all = family_chsh_bounds(0.7, batch)
+        for start in range(0, 2500, 1000):
+            lo, up = family_chsh_bounds(0.7, batch[start:start + 1000])
+            assert np.array_equal(lo, lo_all[start:start + 1000])
+            assert np.array_equal(up, up_all[start:start + 1000])
+        for k in rng.choice(2500, 40, replace=False):
+            lo, up = family_chsh_bounds(0.7, batch[k])
+            assert lo[0] == lo_all[k] and up[0] == up_all[k]
+
     def test_batched_columns_unitary(self):
         rng = np.random.default_rng(51)
-        angles = rng.uniform(0, 2 * math.pi, (20, 6))
+        angles = rng.uniform(0, 2 * math.pi, (6, 20))
         us = batched_columns(angles)
         for k in range(20):
-            assert np.allclose(us[k].conj().T @ us[k], np.eye(3), atol=1e-13)
-            single = qutrit_unitary(QutritBasis(tuple(angles[k])))
-            assert np.allclose(us[k], single, atol=1e-14)
+            u = us[..., k]
+            assert np.allclose(u.conj().T @ u, np.eye(3), atol=1e-13)
+            single = qutrit_unitary(QutritBasis(tuple(angles[:, k])))
+            assert np.allclose(u, single, atol=1e-14)

@@ -153,6 +153,30 @@ class TestSweepCommand:
         assert "Traceback" not in captured.err
         assert not path.exists()
 
+    def test_unwritable_out_rejected_before_search(self, capsys, monkeypatch,
+                                                  tmp_path):
+        def no_search(cfg):
+            raise AssertionError("sweep ran despite an unwritable --out")
+
+        monkeypatch.setattr(cli, "sweep", no_search)
+        path = tmp_path / "missing" / "x.csv"
+        assert main(SWEEP_ARGS + ["--out", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_failed_search_keeps_existing_out(self, capsys, monkeypatch,
+                                              tmp_path):
+        def failing_search(cfg):
+            raise InvalidInputError("search failed")
+
+        monkeypatch.setattr(cli, "sweep", failing_search)
+        path = tmp_path / "x.csv"
+        path.write_text("earlier output\n")
+        assert main(SWEEP_ARGS + ["--out", str(path)]) == 2
+        assert path.read_text() == "earlier output\n"
+        assert capsys.readouterr().err == "error: search failed\n"
+
     @pytest.mark.parametrize("precision", ["0", "-1"])
     def test_bad_precision_rejected_before_search(self, capsys, monkeypatch,
                                                   precision):

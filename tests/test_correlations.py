@@ -10,7 +10,7 @@ from nosig.correlations import (Decomposition, born_joint3, chsh_value,
                                 quantum_joint, recompose)
 from nosig.errors import InvalidInputError
 from nosig.measurements import (BlochSetting, QutritBasis, SettingsFamily,
-                                qutrit_unitary)
+                                batched_columns, qutrit_unitary)
 from nosig.optimizer import nelder_mead_batch
 from nosig.states import psi, rho_ab_analytic, rho_ac_analytic
 
@@ -190,6 +190,19 @@ class TestClosedForm:
         got = outcome_terms(alpha, phased)
         for x, y in zip(base, got):
             assert np.max(np.abs(x - y)) < 1e-13
+
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.4, math.pi / 4, 1.2,
+                                       math.pi / 2])
+    def test_unitarity_sums(self, alpha):
+        # the columns are orthonormal, so sum_b |b_i|^2 = 1 and
+        # sum_b b_i b_j* = 0 for i != j: f sums to 1 and g to 0
+        rng = np.random.default_rng(37)
+        columns = batched_columns(rng.uniform(-7, 7, (6, 2000)))
+        f, g = outcome_terms(alpha, columns)
+        assert f.shape == (3, 2000) and g.shape == (3, 3, 2000)
+        assert np.max(np.abs(f[0] + f[1] + f[2] - 1.0)) <= 1e-15
+        assert np.max(np.abs(g[0] + g[1] + g[2])) <= 1e-15
 
 
 class TestCorrelator:

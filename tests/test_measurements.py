@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 
 from nosig.errors import InvalidInputError
 from nosig.measurements import (BlochSetting, QutritBasis, SettingsFamily,
-                                qubit_projector, qutrit_projector,
-                                qutrit_unitary)
+                                batched_columns, qubit_projector,
+                                qutrit_projector, qutrit_unitary)
 
 
 def random_basis(rng):
@@ -80,6 +81,46 @@ class TestQutritBasis:
     def test_outcome_validation(self):
         with pytest.raises(InvalidInputError):
             qutrit_projector(QutritBasis((0.0,) * 6), 3)
+
+
+def reference_givens(j, k, theta, phi):
+    # one explicit phased Givens matrix per angle pair, shape (N, 3, 3)
+    g = np.zeros(theta.shape + (3, 3), dtype=np.complex128)
+    g[:, 0, 0] = g[:, 1, 1] = g[:, 2, 2] = 1.0
+    g[:, j, j] = g[:, k, k] = np.cos(theta)
+    g[:, j, k] = -np.sin(theta) * np.exp(1j * phi)
+    g[:, k, j] = np.sin(theta) * np.exp(-1j * phi)
+    return g
+
+
+def reference_columns(angles):
+    # the Givens chart as the matrix product G01 G02 G12, shape (N, 3, 3)
+    t1, p1, t2, p2, t3, p3 = angles
+    return (reference_givens(0, 1, t1, p1) @ reference_givens(0, 2, t2, p2)
+            @ reference_givens(1, 2, t3, p3))
+
+
+class TestGivensChart:
+    """batched_columns writes the Givens product out entrywise; the
+    reference multiplies the three matrices."""
+
+    def assert_matches_reference(self, angles):
+        got = np.moveaxis(batched_columns(angles), -1, 0)
+        assert np.max(np.abs(got - reference_columns(angles))) <= 1e-15
+
+    def test_random_angles(self):
+        rng = np.random.default_rng(27)
+        self.assert_matches_reference(
+            rng.uniform(-2 * math.pi, 2 * math.pi, (6, 20000)))
+
+    def test_special_angles(self):
+        # every combination of 0, +-pi/2, pi and 2*pi, the all-zero
+        # pinning start included
+        special = (0.0, math.pi / 2, -math.pi / 2, math.pi, 2 * math.pi)
+        angles = np.array(list(itertools.product(special, repeat=6))).T
+        self.assert_matches_reference(angles)
+        assert np.array_equal(batched_columns(np.zeros((6, 1)))[..., 0],
+                              np.eye(3))
 
 
 class TestSettingsFamily:
