@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .correlations import fach_closed_form, outcome_terms
-from .errors import InvalidMarginalError
+from .correlations import _check_completion, fach_closed_form, outcome_terms
+from .errors import InvalidInputError
 from .measurements import (BlochSetting, QutritBasis, SettingsFamily,
                            batched_columns, bloch_vectors)
 from .states import _check_alpha
@@ -40,14 +40,13 @@ def h_bounds(f, a, c):
     """Range [lower, upper] of the correlation term h given (f, a, c).
 
     Accepts scalars or same-shape arrays; requires f >= max(|a|, |c|) up
-    to slack, which is exactly when the four sign probabilities can all
-    be nonnegative.  A degenerate outcome f=0 forces a=c=0 and pins h=0.
+    to slack (correlations._check_completion).  A degenerate outcome f=0
+    forces a=c=0 and pins h=0.
     """
     f = np.asarray(f, dtype=float)
     a = np.asarray(a, dtype=float)
     c = np.asarray(c, dtype=float)
-    if np.any(f < np.maximum(np.abs(a), np.abs(c)) - tol.MARGINAL_FEASIBLE):
-        raise InvalidMarginalError("f < max(|a|, |c|): no nonnegative completion")
+    _check_completion(f, a, c)
     lower, upper = _h_range(f, a, c)
     if f.ndim == 0:
         return float(lower), float(upper)
@@ -131,9 +130,12 @@ def family_chsh_bounds(alpha: float, params: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray]:
     """(chsh_lower, chsh_upper) for a batch of parameter vectors.
 
-    params has shape (R, 14) laid out as SettingsFamily.to_params; the
-    result is a pair of (R,) arrays.  family_bounds is the same kernel on
-    a batch of one; the test suite checks both against the Born rule.
+    params has shape (R, 14), or (14,), laid out as SettingsFamily.to_params;
+    the result is a pair of (R,) arrays.  family_bounds is the same kernel
+    on a batch of one; the test suite checks both against the Born rule.
     """
     p = np.atleast_2d(np.asarray(params, dtype=float))
-    return _chsh_window(*_pair_ranges(alpha, p)[2:])
+    if p.ndim != 2 or p.shape[1] != 14:
+        raise InvalidInputError(
+            f"params must have shape (R, 14), got {p.shape}")
+    return _chsh_window(*_pair_ranges(_check_alpha(alpha), p)[2:])

@@ -1,10 +1,12 @@
 """Command-line front end: sweeps, bound reports, and theorem checks.
 
 Exit codes: 0 on success, 1 when a scientific check fails (a theorem
-verdict comes out opposite to expectation), 2 on usage errors, an
-unwritable --out path included, 3 on a numerical failure (a RuntimeError
-such as an inconsistent LP tableau).  Randomized subcommands are
-deterministic given --seed, which defaults to 0.
+verdict comes out opposite to expectation), 2 on usage errors, 3 on a
+numerical failure (a RuntimeError such as an inconsistent LP tableau).
+Every input error is a usage error: bad arguments, inconsistent
+marginals and an unwritable --out path alike.  Randomized subcommands
+are deterministic given --seed, which defaults to 0 and must lie in
+[0, 2**64).
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ from . import tolerances as tol
 from .bounds import family_bounds
 from .correlations import (correlator, decompose, horodecki_chsh_max,
                            quantum_joint)
-from .errors import DegenerateInputError, InvalidInputError, \
-    InvalidMarginalError
+from .errors import InvalidInputError
 from .feasibility import theorem1_check
 from .measurements import SettingsFamily
 from .optimizer import OptimizerConfig, SweepRecord, sweep
@@ -121,14 +122,6 @@ def records_to_json(records, precision: int = 9) -> str:
                       indent=2) + "\n"
 
 
-def _write_output(text: str, path: str | None):
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-
-
 def _cmd_sweep(args) -> int:
     if args.precision < 1:
         raise InvalidInputError(f"--precision {args.precision} is below 1")
@@ -140,7 +133,11 @@ def _cmd_sweep(args) -> int:
     records = sweep(cfg)
     text = (records_to_csv(records, args.precision) if args.format == "csv"
             else records_to_json(records, args.precision))
-    _write_output(text, args.out)
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        with open(args.out, "w", newline="") as fh:
+            fh.write(text)
     return 0
 
 
@@ -284,8 +281,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidInputError, InvalidMarginalError, DegenerateInputError,
-            ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # the package errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

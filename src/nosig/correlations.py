@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .errors import InvalidInputError
+from .errors import InvalidInputError, InvalidMarginalError
 from .measurements import _PAULI, BlochSetting, QutritBasis, \
     SettingsFamily, qubit_projector, qutrit_unitary
 from .qlinalg import check_density, hermitian_eigenvalues
@@ -44,10 +44,16 @@ class Decomposition:
     def validate(self) -> "Decomposition":
         if abs(float(np.sum(self.f)) - 1.0) > tol.PROB_SUM:
             raise InvalidInputError("f components do not sum to 1")
-        slack = tol.MARGINAL_FEASIBLE
-        if np.any(self.f < np.maximum(np.abs(self.a), np.abs(self.c)) - slack):
-            raise InvalidInputError("f < max(|a|, |c|) beyond tolerance")
+        _check_completion(self.f, self.a, self.c)
         return self
+
+
+def _check_completion(f, a, c):
+    """Only f >= max(|a|, |c|) - MARGINAL_FEASIBLE leaves a completion."""
+    bound = np.maximum(np.abs(a), np.abs(c)) - tol.MARGINAL_FEASIBLE
+    if not np.all(f >= bound):  # a NaN fails too
+        raise InvalidMarginalError(
+            "f < max(|a|, |c|): no nonnegative completion")
 
 
 def born_joint3(state: np.ndarray, dims: tuple[int, int, int],

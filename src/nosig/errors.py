@@ -5,7 +5,7 @@ class InvalidInputError(ValueError):
     """An argument violates a documented precondition (shape, range, flag)."""
 
 
-class InvalidMarginalError(ValueError):
+class InvalidMarginalError(InvalidInputError):
     """Marginal data is inconsistent: F < max(|A|, |C|) beyond tolerance."""
 
 

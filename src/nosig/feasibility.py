@@ -26,6 +26,9 @@ from .errors import InvalidInputError
 from .states import ghz3
 
 _Z_PROJECTORS = [np.diag([1.0 + 0j, 0.0]), np.diag([0.0, 1.0 + 0j])]
+# Pair tables in LP row order: (name, party summed out of the joint).  A
+# name spells the two kept parties in the order of the table's axes.
+_PAIRS = (("ab", 2), ("bc", 0), ("ac", 1))
 
 
 @dataclass(frozen=True)
@@ -43,36 +46,33 @@ class MarginalSpec:
     ac: np.ndarray | None = None
 
     def __post_init__(self):
-        for n, name in ((self.n_a, "n_a"), (self.n_b, "n_b"), (self.n_c, "n_c")):
+        shape = (self.n_a, self.n_b, self.n_c)
+        for n, name in zip(shape, ("n_a", "n_b", "n_c")):
             if n < 1:
                 raise InvalidInputError(f"{name} must be positive, got {n}")
-        for name, table, shape in (("ab", self.ab, (self.n_a, self.n_b)),
-                                   ("bc", self.bc, (self.n_b, self.n_c)),
-                                   ("ac", self.ac, (self.n_a, self.n_c))):
+        first = {}  # party -> (table, axis) of the first table that fixes it
+        for name, summed in _PAIRS:
+            table = getattr(self, name)
             if table is None:
                 continue
             t = np.asarray(table, dtype=float)
-            if t.shape != shape:
-                raise InvalidInputError(f"{name} table must have shape {shape}")
-            if float(t.min()) < 0.0:
+            kept = shape[:summed] + shape[summed + 1:]
+            if t.shape != kept:
+                raise InvalidInputError(f"{name} table must have shape {kept}")
+            if not float(t.min()) >= 0.0:  # NaN fails too
                 raise InvalidInputError(f"{name} table has a negative entry")
             if abs(float(t.sum()) - 1.0) > tol.PROB_SUM:
                 raise InvalidInputError(f"{name} table does not sum to 1")
             object.__setattr__(self, name, t)
-        self._check_overlaps()
-
-    def _check_overlaps(self):
-        pairs = []
-        if self.ab is not None and self.bc is not None:
-            pairs.append((self.ab.sum(axis=0), self.bc.sum(axis=1), "b"))
-        if self.ab is not None and self.ac is not None:
-            pairs.append((self.ab.sum(axis=1), self.ac.sum(axis=1), "a"))
-        if self.bc is not None and self.ac is not None:
-            pairs.append((self.bc.sum(axis=0), self.ac.sum(axis=0), "c"))
-        for left, right, name in pairs:
-            if float(np.max(np.abs(left - right))) > tol.MARGINAL_FEASIBLE:
-                raise InvalidInputError(
-                    f"tables imply conflicting one-party marginals for {name}")
+            for party, other in zip(name, (1, 0)):
+                if party not in first:
+                    first[party] = (t, other)
+                    continue
+                prev, axis = first[party]
+                gap = np.abs(prev.sum(axis=axis) - t.sum(axis=other))
+                if float(np.max(gap)) > tol.MARGINAL_FEASIBLE:
+                    raise InvalidInputError("tables imply conflicting "
+                                            f"one-party marginals for {party}")
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,8 @@ def _marginal_rows(spec: MarginalSpec) -> tuple[np.ndarray, np.ndarray]:
     """
     shape = (spec.n_a, spec.n_b, spec.n_c)
     rows, rhs = [np.zeros((0, math.prod(shape)))], [np.zeros(0)]
-    for table, summed in ((spec.ab, 2), (spec.bc, 0), (spec.ac, 1)):
+    for name, summed in _PAIRS:
+        table = getattr(spec, name)
         if table is not None:
             kept = table.shape[:summed] + (1,) + table.shape[summed:]
             eye = np.eye(table.size).reshape(table.size, *kept)

@@ -39,7 +39,9 @@ from .tolerances import SIMPLEX_DIAMETER
 
 _SIMPLEX_STEP = 0.3
 _BLOCK_ROWS = 1000  # largest batch one objective call sees
-_LOWER, _UPPER = 0, 1  # direction ids: stream key and family_chsh_bounds index
+# Stream spawn keys: (direction, restart) per sweep restart, (_SCAN,) for
+# the uniqueness scan.  Directions also index family_chsh_bounds' pair.
+_LOWER, _UPPER, _SCAN = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -57,8 +59,7 @@ class OptimizerConfig:
             raise InvalidInputError(f"max_iters must be >= 1, got {self.max_iters}")
         if not (0 <= self.tol < math.inf):
             raise InvalidInputError(f"tol must be in [0, inf), got {self.tol}")
-        if not (0 <= self.seed < 2 ** 64):
-            raise InvalidInputError("seed must fit in 64 unsigned bits")
+        _check_seed(self.seed)
         for a in self.alpha_grid:
             _check_alpha(a)
 
@@ -165,12 +166,17 @@ def nelder_mead_batch(objective, x0: np.ndarray, *, max_iters: int,
     return x[rank[:, 0]], f[rank[:, 0]], iters
 
 
-def _restart_rng(seed: int, grid_index: int, direction: int,
-                 restart: int) -> np.random.Generator:
-    entropy = (seed ^ grid_index) & (2 ** 64 - 1)
-    ss = np.random.SeedSequence(entropy=entropy,
-                                spawn_key=(direction, restart))
-    return np.random.Generator(np.random.PCG64(ss))
+def _check_seed(seed: int) -> int:
+    """The seed rule of every randomized command: an integer in [0, 2**64)."""
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2 ** 64:
+        raise InvalidInputError("seed must fit in 64 unsigned bits")
+    return seed
+
+
+def _stream(entropy: int, *key: int) -> np.random.Generator:
+    """The PCG64 generator of SeedSequence(entropy, spawn_key=key)."""
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(entropy=entropy, spawn_key=key)))
 
 
 def _random_start(rng: np.random.Generator) -> np.ndarray:
@@ -184,27 +190,13 @@ def _random_start(rng: np.random.Generator) -> np.ndarray:
     return p
 
 
-def _pinning_start(direction: int) -> np.ndarray:
-    p = np.zeros(14)
-    if direction == _UPPER:
-        p[4] = p[6] = math.pi  # C settings on -z flip the correlator sign
-    return p
-
-
 def _starts(cfg: OptimizerConfig, grid_index: int, direction: int) -> np.ndarray:
-    x0 = np.empty((cfg.restarts, 14))
-    x0[0] = _pinning_start(direction)
+    x0 = np.zeros((cfg.restarts, 14))        # row 0: the pinning start
+    if direction == _UPPER:  # C settings on -z flip the correlator sign
+        x0[0, 4] = x0[0, 6] = math.pi
     for r in range(1, cfg.restarts):
-        x0[r] = _random_start(_restart_rng(cfg.seed, grid_index, direction, r))
+        x0[r] = _random_start(_stream(cfg.seed ^ grid_index, direction, r))
     return x0
-
-
-def _best(values: np.ndarray, points: np.ndarray, iters: np.ndarray,
-          sign: float, restarts: int) -> OptimizationResult:
-    k = int(np.argmin(values))
-    return OptimizationResult(value=sign * float(values[k]),
-                              params=points[k].copy(),
-                              iterations=int(iters.sum()), restarts=restarts)
 
 
 def _search(alpha: float, cfg: OptimizerConfig, grid_index: int,
@@ -219,7 +211,11 @@ def _search(alpha: float, cfg: OptimizerConfig, grid_index: int,
     pts, vals, iters = nelder_mead_batch(
         objective, _starts(cfg, grid_index, direction),
         max_iters=cfg.max_iters, tol=cfg.tol)
-    return _best(vals, pts, iters, sign, cfg.restarts)
+    k = int(np.argmin(vals))
+    return OptimizationResult(value=sign * float(vals[k]),
+                              params=pts[k].copy(),
+                              iterations=int(iters.sum()),
+                              restarts=cfg.restarts)
 
 
 def maximize_chsh_lower(alpha: float, cfg: OptimizerConfig,

@@ -27,7 +27,8 @@ import numpy as np
 from . import tolerances as tol
 from .correlations import horodecki_chsh_max
 from .errors import DegenerateInputError, InvalidInputError
-from .optimizer import _in_blocks, nelder_mead_batch
+from .optimizer import _SCAN, _check_seed, _in_blocks, _stream, \
+    nelder_mead_batch
 from .qlinalg import partial_trace, permute_subsystems
 from .states import _check_alpha, psi1, psi2, rho_ac_analytic, rho_cb_analytic
 
@@ -166,14 +167,6 @@ def residual(alpha: float, p: PurificationParams) -> UniquenessVerdict:
     return UniquenessVerdict(residual=err, distance_to_unique_point=dist)
 
 
-def _check_interior(alpha: float) -> float:
-    a = _check_alpha(alpha)
-    if a in (0.0, math.pi / 2):
-        raise InvalidInputError(
-            f"alpha={a!r} must lie strictly inside (0, pi/2)")
-    return a
-
-
 def _to_chart(p: PurificationParams) -> np.ndarray:
     """The scan-chart row of p: Schmidt angles, then re/im of x10..x21."""
     vecs = np.array([p.x10, p.x11, p.x20, p.x21])
@@ -236,11 +229,13 @@ def uniqueness_scan(alpha: float, n_samples: int = 10000,
     nothing else lands there.  Strictly interior alpha only: at the
     endpoints the marginals admit other compatible states.
     """
-    a = _check_interior(alpha)
+    a = _check_alpha(alpha)
+    if a in (0.0, math.pi / 2):
+        raise InvalidInputError(
+            f"alpha={a!r} must lie strictly inside (0, pi/2)")
     if not 1 <= n_local_starts <= n_samples:
         raise InvalidInputError("need 1 <= n_local_starts <= n_samples")
-    rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(entropy=seed, spawn_key=(2,))))
+    rng = _stream(_check_seed(seed), _SCAN)
     chart = np.empty((n_samples, _CHART_DIM))
     chart[:, 0] = rng.uniform(0.0, math.pi / 2, n_samples)
     chart[:, 1] = rng.uniform(0.0, math.pi / 2, n_samples)
@@ -292,9 +287,9 @@ def theorem2_check(alpha: float, n_samples: int = 10000,
     1/sqrt(2); below that the report simply shows no violation.  The
     endpoints are rejected because uniqueness genuinely fails there.
     """
-    a = _check_interior(alpha)
-    scan = uniqueness_scan(a, n_samples=n_samples,
+    scan = uniqueness_scan(alpha, n_samples=n_samples,
                            n_local_starts=n_local_starts, seed=seed)
+    a = scan.alpha
     return Theorem2Report(alpha=a, cos2_alpha=math.cos(a) ** 2,
                           chsh_max=horodecki_chsh_max(rho_ac_analytic(a)),
                           scan=scan)

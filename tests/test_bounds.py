@@ -6,9 +6,10 @@ import pytest
 from nosig.bounds import (BoundsReport, FamilyBounds, batched_columns,
                           family_bounds, family_chsh_bounds, h_bounds,
                           measurement_bounds)
-from nosig.correlations import (chsh_value, correlator, decompose,
-                                outcome_terms, quantum_joint)
-from nosig.errors import InvalidMarginalError
+from nosig import tolerances as tol
+from nosig.correlations import (Decomposition, chsh_value, correlator,
+                                decompose, outcome_terms, quantum_joint)
+from nosig.errors import InvalidInputError, InvalidMarginalError
 from nosig.measurements import (BlochSetting, QutritBasis, SettingsFamily,
                                 qutrit_unitary)
 
@@ -47,6 +48,33 @@ class TestHBounds:
     def test_infeasible_marginals_rejected(self):
         with pytest.raises(InvalidMarginalError):
             h_bounds(0.3, 0.5, 0.0)
+
+    @pytest.mark.parametrize("slack, ok", [(0.5, True), (2.0, False)])
+    def test_agrees_with_decomposition_at_the_boundary(self, slack, ok):
+        # one completion rule: f >= max(|a|, |c|) - MARGINAL_FEASIBLE
+        gap = slack * tol.MARGINAL_FEASIBLE
+        f = np.array([0.5 - gap, 0.25, 0.25 + gap])
+        a = np.array([0.5, 0.0, 0.0])
+        c = np.zeros(3)
+        d = Decomposition(f=f, a=a, c=c, h=np.zeros(3))
+        if ok:
+            h_bounds(f, a, c)
+            assert d.validate() is d
+            return
+        for call in (lambda: h_bounds(f, a, c), d.validate):
+            with pytest.raises(InvalidMarginalError) as exc:
+                call()
+            assert isinstance(exc.value, InvalidInputError)
+
+    def test_nan_rejected(self):
+        for f, a, c in ((math.nan, 0.1, 0.1), (0.5, math.nan, 0.0),
+                        (0.5, 0.0, math.nan)):
+            with pytest.raises(InvalidMarginalError):
+                h_bounds(f, a, c)
+        d = Decomposition(f=np.array([math.nan, 0.5, 0.5]), a=np.zeros(3),
+                          c=np.zeros(3), h=np.zeros(3))
+        with pytest.raises(InvalidInputError):
+            d.validate()
 
     def test_positivity_enumeration_oracle(self):
         # L and U must match brute-force enumeration over a fine h grid
@@ -219,6 +247,23 @@ class TestBatchedPath:
             lo1, up1 = family_chsh_bounds(0.9, batch[k][None, :])
             assert lo1[0] == lo_all[k]
             assert up1[0] == up_all[k]
+
+    @pytest.mark.parametrize("alpha", [5.0, -0.1, math.nan])
+    def test_alpha_outside_range_rejected(self, alpha):
+        # the same rule as family_bounds: alpha in [0, pi/2]
+        with pytest.raises(InvalidInputError, match="outside"):
+            family_chsh_bounds(alpha, np.zeros((1, 14)))
+
+    @pytest.mark.parametrize("shape", [(2, 13), (2, 15), (13,), (1, 2, 14)])
+    def test_row_width_other_than_14_rejected(self, shape):
+        with pytest.raises(InvalidInputError, match="14"):
+            family_chsh_bounds(0.5, np.zeros(shape))
+
+    def test_one_row_vector_accepted(self):
+        p = np.random.default_rng(55).uniform(0, 2 * math.pi, 14)
+        lo, up = family_chsh_bounds(0.5, p)
+        lo1, up1 = family_chsh_bounds(0.5, p[None, :])
+        assert lo.shape == (1,) and lo[0] == lo1[0] and up[0] == up1[0]
 
     def test_block_slices_and_single_rows_bitwise(self):
         # optimizer._in_blocks evaluates large batches 1000 rows at a time

@@ -8,7 +8,8 @@ import pytest
 from nosig import cli, feasibility
 from nosig.cli import (CSV_HEADER, main, parse_angle, parse_grid,
                        parse_params)
-from nosig.errors import InvalidInputError
+from nosig.errors import (DegenerateInputError, InvalidInputError,
+                          InvalidMarginalError)
 
 SWEEP_ARGS = ["sweep", "--grid", "0:pi/2:3", "--restarts", "2",
               "--max-iters", "300", "--seed", "4"]
@@ -330,6 +331,30 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err == ("error: numerical failure: phase-one column "
                                 "unbounded; inconsistent tableau\n")
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--grid", "0", "--restarts", "2", "--max-iters", "1"],
+        ["uniqueness", "--alpha", "pi/4", "--samples", "2", "--starts", "1"]])
+    def test_seed_outside_64_bits(self, capsys, command, seed):
+        # one seed rule for both randomized commands
+        assert main(command + ["--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed must fit in 64 unsigned bits" in captured.err
+
+    @pytest.mark.parametrize("error", [InvalidMarginalError,
+                                       DegenerateInputError])
+    def test_package_errors_inside_a_command_exit_2(self, capsys,
+                                                    monkeypatch, error):
+        def failing(independence):
+            raise error("raised inside the command")
+
+        monkeypatch.setattr(cli, "theorem1_check", failing)
+        assert main(["ghz-check"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: raised inside the command\n"
 
 
 class TestGoldenDigests:

@@ -37,6 +37,11 @@ class TestMarginalSpecValidation:
         with pytest.raises(InvalidInputError):
             MarginalSpec(n_a=2, n_b=2, n_c=2, ab=bad)
 
+    def test_nan_entry(self):
+        bad = np.array([[np.nan, 0.25], [0.25, 0.25]])
+        with pytest.raises(InvalidInputError):
+            MarginalSpec(n_a=2, n_b=2, n_c=2, ab=bad)
+
     def test_bad_sum(self):
         with pytest.raises(InvalidInputError):
             MarginalSpec(n_a=2, n_b=2, n_c=2, ab=np.full((2, 2), 0.3))
@@ -60,6 +65,23 @@ class TestMarginalSpecValidation:
         ac = np.full((2, 2), 0.25)                # a-marginal (0.5, 0.5)
         with pytest.raises(InvalidInputError):
             MarginalSpec(n_a=2, n_b=2, n_c=2, ab=ab, ac=ac)
+
+    def test_conflicting_b_marginal(self):
+        ab = np.array([[0.5, 0.1], [0.2, 0.2]])   # b-marginal (0.7, 0.3)
+        bc = np.full((2, 2), 0.25)                # b-marginal (0.5, 0.5)
+        with pytest.raises(InvalidInputError, match="marginals for b"):
+            MarginalSpec(n_a=2, n_b=2, n_c=2, ab=ab, bc=bc)
+
+    def test_conflicting_c_marginal(self):
+        bc = np.array([[0.5, 0.1], [0.2, 0.2]])   # c-marginal (0.7, 0.3)
+        ac = np.full((2, 2), 0.25)                # c-marginal (0.5, 0.5)
+        with pytest.raises(InvalidInputError, match="marginals for c"):
+            MarginalSpec(n_a=2, n_b=2, n_c=2, bc=bc, ac=ac)
+
+    def test_conflict_within_tolerance_accepted(self):
+        ab = np.full((2, 2), 0.25)
+        bc = np.array([[0.25 + 5e-11, 0.25], [0.25 - 5e-11, 0.25]])
+        MarginalSpec(n_a=2, n_b=2, n_c=2, ab=ab, bc=bc)
 
 
 def loop_rows(spec):

@@ -272,6 +272,8 @@ class TestConfigValidation:
             OptimizerConfig(seed=-1)
         with pytest.raises(InvalidInputError):
             OptimizerConfig(seed=2 ** 64)
+        with pytest.raises(InvalidInputError):
+            OptimizerConfig(seed=1.5)
 
     def test_bad_grid_value(self):
         with pytest.raises(InvalidInputError):

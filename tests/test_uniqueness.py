@@ -214,6 +214,12 @@ class TestScan:
         with pytest.raises(InvalidInputError):
             uniqueness_scan(0.7, n_samples=10, n_local_starts=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5])
+    def test_bad_seed_rejected(self, seed):
+        # the same seed rule as OptimizerConfig
+        with pytest.raises(InvalidInputError, match="64 unsigned bits"):
+            uniqueness_scan(0.7, n_samples=2, n_local_starts=1, seed=seed)
+
     def test_more_starts_than_samples_rejected(self):
         # the scan would run only n_samples random starts but report more
         with pytest.raises(InvalidInputError,
