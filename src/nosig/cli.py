@@ -213,6 +213,8 @@ def _cmd_uniqueness(args) -> int:
     print(f"distance at min   : {rep.distance_at_min:.6e}")
     print(f"near-zero minima  : {rep.near_zero_count} "
           f"(max distance {rep.max_distance_near_zero:.6e})")
+    print(f"capped / next     : {rep.n_capped} rows at max_iters, "
+          f"next residual {rep.next_residual:.6e}")
     if rep.confirmed:
         print("CONFIRMED: every exact-marginal point sits at the unique "
               "purification")

@@ -10,11 +10,16 @@ This module scans the chart for counterexamples: parameter points whose
 B-C marginal error (the residual) vanishes while sitting far from that
 unique point.  Finding none is the numerical content of the theorem.
 
-The chart is written once, batched over rows: the E1/E2 blocks, the
-state and the distance to the unique point each have one definition, and
-the single-point functions are batches of one.  residual() traces out A
-and X of the full state with partial_trace, so it stays an independent
-check of the scan objective's einsum marginal.
+The chart is written once, batched over rows with the row axis last: the
+E1/E2 blocks and the distance to the unique point each have one
+definition, and the single-point functions use them as batches of one.
+The scan objective never builds the state.  With S_ij = Tr_A |psi_i><psi_j|
+(fixed per alpha) and the Gram blocks G_ij = E_i E_j^dagger, the B-C
+marginal is 1/2 sum_ij S_ij (x) G_ij, and the target is the same sum at
+the unique point's blocks, so the error is a closed form in the 2x2
+differences G_ij - G*_ij.  residual() traces out A and X of the full
+state with partial_trace, so it stays an independent check of that
+identity.
 """
 
 from __future__ import annotations
@@ -51,8 +56,10 @@ class PurificationParams:
 
     def __post_init__(self):
         for name in ("c0", "c1", "d0", "d1"):
-            if getattr(self, name) < 0.0:
-                raise InvalidInputError(f"{name} must be nonnegative")
+            w = getattr(self, name)
+            if not (math.isfinite(w) and w >= 0.0):
+                raise InvalidInputError(
+                    f"{name} must be finite and nonnegative")
         if abs(self.c0 ** 2 + self.c1 ** 2 - 1.0) > tol.UNIT_NORM:
             raise InvalidInputError("(c0, c1) is not normalized")
         if abs(self.d0 ** 2 + self.d1 ** 2 - 1.0) > tol.UNIT_NORM:
@@ -61,8 +68,9 @@ class PurificationParams:
             v = np.asarray(getattr(self, name), dtype=np.complex128)
             if v.shape != (_X_DIM,):
                 raise InvalidInputError(f"{name} must be a {_X_DIM}-vector")
-            if abs(float(np.vdot(v, v).real) - 1.0) > tol.UNIT_NORM:
-                raise InvalidInputError(f"{name} is not a unit vector")
+            # a NaN or infinite entry fails this comparison too
+            if not abs(float(np.vdot(v, v).real) - 1.0) <= tol.UNIT_NORM:
+                raise InvalidInputError(f"{name} is not a finite unit vector")
             object.__setattr__(self, name, v)
         for left, right in (("x10", "x11"), ("x20", "x21")):
             ip = np.vdot(getattr(self, left), getattr(self, right))
@@ -86,6 +94,8 @@ class UniquenessScanReport:
     distance_at_min: float
     near_zero_count: int
     max_distance_near_zero: float
+    n_capped: int
+    next_residual: float
     confirmed: bool
 
 
@@ -96,27 +106,38 @@ def unique_point_params() -> PurificationParams:
                               x10=e[0], x11=e[1], x20=e[1], x21=e[0])
 
 
+def _xsum(a: np.ndarray) -> np.ndarray:
+    """Sum over the leading X axis (_X_DIM slabs) as slab adds, in one
+    order for any row count, so no row depends on the batch around it."""
+    return a[0] + a[1] + a[2] + a[3]
+
+
+def _sq(z: np.ndarray) -> np.ndarray:
+    return z.real ** 2 + z.imag ** 2
+
+
 def _e_blocks(w: np.ndarray, x: np.ndarray):
-    """E1 and the orthogonalized, renormalized E2 as (r, 2, x) blocks.
+    """E1 and the orthogonalized, renormalized E2 as (x, 2, r) blocks.
 
-    w holds the weights (c0, c1, d0, d1) as (r, 4) and x the vectors
-    (x10, x11, x20, x21) as (r, 4, x).  Returns (e1, e2, bad); rows whose
-    E2 collapses are flagged in bad and left unnormalized.
+    w holds the weights (c0, c1, d0, d1) as (4, r) and x the vectors
+    (x10, x11, x20, x21) as (x, 4, r), rows last.  Returns (e1, e2, bad);
+    rows whose E2 collapses are flagged in bad and left unnormalized.
     """
-    blocks = w[:, :, None] * x
+    blocks = w * x
     e1, e2 = blocks[:, :2], blocks[:, 2:]
-    e2 = e2 - np.sum(e1.conj() * e2, axis=(1, 2))[:, None, None] * e1
-    norms = np.linalg.norm(e2.reshape(len(e2), -1), axis=1)
+    ip = _xsum(e1.conj() * e2)
+    e2 = e2 - (ip[0] + ip[1]) * e1
+    n2 = _xsum(_sq(e2))
+    norms = np.sqrt(n2[0] + n2[1])
     bad = norms < tol.ORTHO_COLLAPSE
-    return e1, e2 / np.where(bad, 1.0, norms)[:, None, None], bad
+    return e1, e2 / np.where(bad, 1.0, norms), bad
 
 
-def _purification(alpha: float, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
-    """(psi1 E1 + psi2 E2)/sqrt(2) per row, shape (r, 2, 3, 2, x)."""
-    s1 = psi1(alpha).reshape(2, 3)
-    s2 = psi2(alpha).reshape(2, 3)
-    return (np.einsum("ab,rcx->rabcx", s1, e1)
-            + np.einsum("ab,rcx->rabcx", s2, e2)) / math.sqrt(2.0)
+def _grams(e1: np.ndarray, e2: np.ndarray):
+    """The Gram blocks (G11, G22, G12), G_ij = E_i E_j^dagger, as (2, 2, r)."""
+    def gram(a, b):
+        return _xsum(a[:, :, None] * b.conj()[:, None])
+    return gram(e1, e1), gram(e2, e2), gram(e1, e2)
 
 
 def _distance(c1: np.ndarray, x10: np.ndarray, e2: np.ndarray) -> np.ndarray:
@@ -126,25 +147,31 @@ def _distance(c1: np.ndarray, x10: np.ndarray, e2: np.ndarray) -> np.ndarray:
     orthogonalize onto the unique point count as being there.  The
     absolute value absorbs the free X phase.
     """
-    d0_eff, d1_eff = np.linalg.norm(e2, axis=2).T
+    d0_eff, d1_eff = np.sqrt(_xsum(_sq(e2)))
     live = d1_eff > 1e-12
-    ip = np.abs(np.sum(x10.conj() * e2[:, 1], axis=1))
+    ip = np.abs(_xsum(x10.conj() * e2[:, 1]))
     overlap = np.where(live, ip / np.where(live, d1_eff, 1.0), 0.0)
     return np.maximum(np.maximum(c1, d0_eff), 1.0 - overlap)
 
 
 def _e_pair(p: PurificationParams) -> tuple[np.ndarray, np.ndarray]:
-    """E1 and E2 of one parameter point, as a batch of one (1, 2, x)."""
-    e1, e2, bad = _e_blocks(np.array([[p.c0, p.c1, p.d0, p.d1]]),
-                            np.array([[p.x10, p.x11, p.x20, p.x21]]))
+    """E1 and E2 of one parameter point, as a batch of one (x, 2, 1)."""
+    x = np.array([p.x10, p.x11, p.x20, p.x21]).T[..., None]
+    e1, e2, bad = _e_blocks(np.array([[p.c0], [p.c1], [p.d0], [p.d1]]), x)
     if bad[0]:
         raise DegenerateInputError("E2 collapses under orthogonalization")
     return e1, e2
 
 
+def _purification(alpha: float, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
+    """(psi1 E1 + psi2 E2)/sqrt(2) of a batch-of-one E pair, flat order."""
+    return (np.outer(psi1(alpha), e1[..., 0].T)
+            + np.outer(psi2(alpha), e2[..., 0].T)).ravel() / math.sqrt(2.0)
+
+
 def build_purification(alpha: float, p: PurificationParams) -> np.ndarray:
     """Unit vector on A x B x C x X (dims 2,3,2,4), flat index order."""
-    return _purification(alpha, *_e_pair(p)).reshape(-1)
+    return _purification(alpha, *_e_pair(p))
 
 
 def _bc_target(alpha: float) -> np.ndarray:
@@ -154,16 +181,17 @@ def _bc_target(alpha: float) -> np.ndarray:
 
 def distance_to_unique_point(p: PurificationParams) -> float:
     """Max of (c1, effective d0, 1 - |<x10|x21 effective>|); see _distance."""
-    return float(_distance(np.array([p.c1]), p.x10[None], _e_pair(p)[1])[0])
+    return float(_distance(np.array([p.c1]), p.x10[:, None],
+                           _e_pair(p)[1])[0])
 
 
 def residual(alpha: float, p: PurificationParams) -> UniquenessVerdict:
     """Frobenius error of the purification's B-C marginal, plus distance."""
     e1, e2 = _e_pair(p)
-    phi = _purification(alpha, e1, e2).reshape(-1)
+    phi = _purification(alpha, e1, e2)
     rho_bc = partial_trace(np.outer(phi, phi.conj()), (2, 3, 2, _X_DIM), (1, 2))
     err = float(np.linalg.norm(rho_bc - _bc_target(alpha)))
-    dist = float(_distance(np.array([p.c1]), p.x10[None], e2)[0])
+    dist = float(_distance(np.array([p.c1]), p.x10[:, None], e2)[0])
     return UniquenessVerdict(residual=err, distance_to_unique_point=dist)
 
 
@@ -174,42 +202,59 @@ def _to_chart(p: PurificationParams) -> np.ndarray:
                            np.stack([vecs.real, vecs.imag], axis=-1).ravel()])
 
 
+def _unique_grams():
+    """G*_ij, the Gram blocks of the unique point, each as (2, 2, 1)."""
+    return _grams(*_e_pair(unique_point_params()))
+
+
 def _chart_states(chart: np.ndarray):
-    """Batched E blocks of chart rows: (e1, e2, c1, x10, bad).
+    """Batched E blocks of chart rows: (e1, e2, c1, x10, bad), rows last.
 
     The Schmidt angles give the weights; each vector pair (x10, x11),
     (x20, x21) is Gram-Schmidt orthonormalized.  Degenerate rows are
     flagged in bad.
     """
     r = chart.shape[0]
-    t = chart[:, :2]
-    w = np.abs(np.stack([np.cos(t), np.sin(t)], axis=2)).reshape(r, 4)
-    raw = chart[:, 2:].reshape(r, 2, 2, _X_DIM, 2)
-    vecs = raw[..., 0] + 1j * raw[..., 1]          # (r, pair, member, x)
+    ct = np.ascontiguousarray(chart.T)
+    t = ct[:2]
+    w = np.abs(np.stack([np.cos(t), np.sin(t)], axis=1)).reshape(4, r)
+    raw = ct[2:].reshape(2, 2, _X_DIM, 2, r)     # pair, member, x, re/im
+    vecs = (raw[:, :, :, 0] + 1j * raw[:, :, :, 1]).transpose(2, 0, 1, 3)
 
     def normalized(v):
-        n = np.linalg.norm(v, axis=-1)
+        n = np.sqrt(_xsum(_sq(v)))
         small = n < tol.ORTHO_COLLAPSE
-        return v / np.where(small, 1.0, n)[..., None], np.any(small, axis=1)
+        return v / np.where(small, 1.0, n), small[0] | small[1]
 
     first, bad = normalized(vecs[:, :, 0])
-    second = vecs[:, :, 1] - np.sum(first.conj() * vecs[:, :, 1],
-                                    axis=-1)[..., None] * first
+    second = vecs[:, :, 1] - _xsum(first.conj() * vecs[:, :, 1]) * first
     second, b = normalized(second)
-    x = np.stack([first, second], axis=2).reshape(r, 4, _X_DIM)
+    x = np.stack([first, second], axis=2).reshape(_X_DIM, 4, r)
     e1, e2, collapsed = _e_blocks(w, x)
-    return e1, e2, w[:, 1], x[:, 0], bad | b | collapsed
+    return e1, e2, w[1], x[:, 0], bad | b | collapsed
 
 
 def _residual_chart(alpha: float, chart: np.ndarray,
-                    target: np.ndarray) -> np.ndarray:
-    """Batched scan objective: Frobenius error of the B-C marginal against
-    target = _bc_target(alpha), penalized when degenerate."""
+                    target: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Batched scan objective: Frobenius error of the B-C marginal,
+    penalized when degenerate; target = _unique_grams().
+
+    The marginal is 1/2 sum_ij S_ij (x) G_ij with S_ij = Tr_A |psi_i><psi_j|
+    and the target is the same sum at the unique point's Gram blocks G*, so
+    with D_ij = G_ij - G*_ij and s, c = sin, cos(alpha) the squared error
+    is 1/4 [s^4 (|D11|^2 + |D22|^2) + c^4 |D11 + D22|^2 + 4 s^2 c^2 |D12|^2].
+    """
     e1, e2, _, _, bad = _chart_states(chart)
-    phi = _purification(alpha, e1, e2)
-    del e1, e2, _  # so the E blocks and x10 do not raise peak memory
-    rho_bc = np.einsum("rabcx,raBCx->rbcBC", phi, phi.conj()).reshape(-1, 6, 6)
-    out = np.linalg.norm((rho_bc - target).reshape(len(chart), -1), axis=1)
+    d11, d22, d12 = (g - g0 for g, g0 in zip(_grams(e1, e2), target))
+
+    def norm2(d):
+        q = _sq(d)
+        return q[0, 0] + q[0, 1] + q[1, 0] + q[1, 1]
+
+    s2, c2 = math.sin(alpha) ** 2, math.cos(alpha) ** 2
+    out = 0.5 * np.sqrt(s2 * s2 * (norm2(d11) + norm2(d22))
+                        + c2 * c2 * norm2(d11 + d22)
+                        + 4.0 * s2 * c2 * norm2(d12))
     return np.where(bad, _PENALTY, out)
 
 
@@ -240,7 +285,7 @@ def uniqueness_scan(alpha: float, n_samples: int = 10000,
     chart[:, 0] = rng.uniform(0.0, math.pi / 2, n_samples)
     chart[:, 1] = rng.uniform(0.0, math.pi / 2, n_samples)
     chart[:, 2:] = rng.standard_normal((n_samples, _CHART_DIM - 2))
-    target = _bc_target(a)
+    target = _unique_grams()
 
     def objective(points):
         return _residual_chart(a, points, target)
@@ -249,9 +294,11 @@ def uniqueness_scan(alpha: float, n_samples: int = 10000,
     order = np.argsort(res, kind="stable")[:n_local_starts]
     best = np.vstack([_to_chart(unique_point_params()), chart[order]])
 
+    max_iters = 2000
     for _ in range(3):  # restarted simplex rounds tighten stalled minima
-        best, vals, _ = nelder_mead_batch(objective, best, max_iters=2000,
-                                          tol=tol.SCAN_DIAMETER, step=0.1)
+        best, vals, iters = nelder_mead_batch(
+            objective, best, max_iters=max_iters, tol=tol.SCAN_DIAMETER,
+            step=0.1)
     dists = _distance_chart(best)
     k = int(np.argmin(vals))
     near = vals < tol.NEAR_ZERO_RESIDUAL
@@ -262,6 +309,8 @@ def uniqueness_scan(alpha: float, n_samples: int = 10000,
         distance_at_min=float(dists[k]),
         near_zero_count=int(np.count_nonzero(near)),
         max_distance_near_zero=max_dist_near,
+        n_capped=int(np.count_nonzero(iters >= max_iters)),
+        next_residual=float(np.min(vals[~near], initial=np.inf)),
         confirmed=bool(np.any(near)
                        and max_dist_near < tol.UNIQUE_DISTANCE))
 

@@ -106,8 +106,8 @@ def test_criterion_6_marginal_feasibility(capsys):
 
 
 SCAN_REPR_SHA256 = {
-    0.5: "5b789ff2844d6c5e79fefc7756d10679454d91adb85ad7bde67703e00d2d1058",
-    0.85: "cd5334a66ec9b926fd6405f58bd854c7e85dad87abf374492b9b2be2e4c42aa4",
+    0.5: "4741b69bcd442c870bb8b9d471443c9a804bbeef99cf26dcaa2348ed9e729745",
+    0.85: "9b9a01f78281beb1e8c1718d9b193a497cccaad23016cff91c635c42387ed2af",
 }
 
 

@@ -258,6 +258,7 @@ class TestUniquenessCommand:
         out = capsys.readouterr().out
         assert "CONFIRMED" in out
         assert "min residual" in out
+        assert "rows at max_iters, next residual" in out
 
     def test_endpoint_usage_error(self, capsys):
         assert main(["uniqueness", "--alpha", "0", "--samples", "10",
@@ -376,4 +377,4 @@ class TestGoldenDigests:
         argv = ["uniqueness", "--alpha", "0.8", "--samples", "200",
                 "--starts", "4", "--seed", "5"]
         assert self.digest(capsys, argv) == \
-            "08729bd950f070da11a838de978039e7b4ec2eefac54c256af74b0e59adda14d"
+            "8b8bfc061d6cd26863aa06bce7459ad68b11adf6d68894bcee4df3e305d019cf"

@@ -3,11 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from nosig import uniqueness
 from nosig.errors import (DegenerateInputError, InvalidInputError)
 from nosig.qlinalg import partial_trace
-from nosig.states import rho_ab_analytic, rho_ac_analytic
-from nosig.uniqueness import (_PENALTY, PurificationParams, _bc_target,
-                              _distance_chart, _residual_chart, _to_chart,
+from nosig.optimizer import nelder_mead_batch
+from nosig.states import psi1, psi2, rho_ab_analytic, rho_ac_analytic
+from nosig.tolerances import NEAR_ZERO_RESIDUAL, ORTHO_COLLAPSE
+from nosig.uniqueness import (_PENALTY, PurificationParams,
+                              _bc_target, _chart_states, _distance_chart,
+                              _purification, _residual_chart, _to_chart,
+                              _unique_grams,
                               build_purification,
                               distance_to_unique_point, residual,
                               theorem2_check, unique_point_params,
@@ -57,6 +62,21 @@ class TestParamsValidation:
             PurificationParams(c0=1.0, c1=0.0, d0=0.0, d1=1.0,
                                x10=0.5 * np.asarray(p.x10), x11=p.x11,
                                x20=p.x20, x21=p.x21)
+
+    def test_nan_weight(self):
+        # NaN passes both the sign and the normalization comparison
+        p = unique_point_params()
+        with pytest.raises(InvalidInputError, match="c0 must be finite"):
+            PurificationParams(c0=math.nan, c1=0.0, d0=0.0, d1=1.0,
+                               x10=p.x10, x11=p.x11, x20=p.x20, x21=p.x21)
+
+    def test_nan_vector_entry(self):
+        p = unique_point_params()
+        x10 = np.array(p.x10)
+        x10[2] = math.nan
+        with pytest.raises(InvalidInputError, match="x10 is not a finite unit"):
+            PurificationParams(c0=1.0, c1=0.0, d0=0.0, d1=1.0,
+                               x10=x10, x11=p.x11, x20=p.x20, x21=p.x21)
 
     def test_non_orthogonal_pair(self):
         p = unique_point_params()
@@ -157,15 +177,56 @@ class TestUniquePoint:
             pytest.approx(want, abs=1e-12)
 
 
+def s_table(alpha, i, j):
+    """S_ij = Tr_A |psi_i><psi_j| on B, rebuilt from the state vectors."""
+    v = [psi1(alpha).reshape(2, 3), psi2(alpha).reshape(2, 3)]
+    return np.einsum("ab,aB->bB", v[i], v[j].conj())
+
+
+def objective(alpha, chart):
+    """The scan objective, with its target built as uniqueness_scan does."""
+    return _residual_chart(alpha, chart, _unique_grams())
+
+
+def random_chart(rng, rows):
+    chart = rng.standard_normal((rows, 34))
+    chart[:, :2] = rng.uniform(0.0, math.pi / 2, (rows, 2))
+    return chart
+
+
 class TestChartObjective:
+    ALPHAS = (1e-3, 0.3, 0.7, math.pi / 4, 1.1, math.pi / 2 - 1e-3)
+
+    def test_s_tables_closed_form(self):
+        # the entries the objective's weights s^4, c^4 and 4 s^2 c^2 use
+        for alpha in self.ALPHAS:
+            s, c = math.sin(alpha), math.cos(alpha)
+            off = np.zeros((3, 3))
+            off[0, 2] = off[2, 1] = s * c
+            assert np.allclose(s_table(alpha, 0, 0),
+                               np.diag([s * s, 0.0, c * c]), atol=1e-16)
+            assert np.allclose(s_table(alpha, 1, 1),
+                               np.diag([0.0, s * s, c * c]), atol=1e-16)
+            assert np.allclose(s_table(alpha, 0, 1), off, atol=1e-16)
+            assert np.allclose(s_table(alpha, 1, 0), off.T, atol=1e-16)
+
+    def test_target_is_s_tensor_g_at_unique_point(self):
+        g11, g22, g12 = (g[..., 0] for g in _unique_grams())
+        grams = {(0, 0): g11, (1, 1): g22, (0, 1): g12,
+                 (1, 0): g12.conj().T}
+        for alpha in np.linspace(0.0, math.pi / 2, 13):
+            rho = 0.5 * sum(np.kron(s_table(alpha, i, j), g)
+                            for (i, j), g in grams.items())
+            assert np.max(np.abs(rho - _bc_target(alpha))) <= 1e-15
+
     def test_matches_partial_trace_oracle(self):
         # residual() traces A and X out of the full state with
-        # partial_trace; the scan objective takes the einsum marginal
+        # partial_trace; the scan objective uses the S (x) G closed form
         rng = np.random.default_rng(73)
         alpha = 0.9
         ps = [unique_point_params()] + [random_params(rng) for _ in range(40)]
         chart = np.array([_to_chart(p) for p in ps])
-        res = _residual_chart(alpha, chart, _bc_target(alpha))
+        res = objective(alpha, chart)
         dist = _distance_chart(chart)
         for k, p in enumerate(ps):
             v = residual(alpha, p)
@@ -173,19 +234,58 @@ class TestChartObjective:
             assert dist[k] == pytest.approx(v.distance_to_unique_point,
                                             abs=1e-12)
 
+    @pytest.mark.parametrize("alpha", [1e-3, math.pi / 2 - 1e-3])
+    def test_oracle_near_the_endpoints(self, alpha):
+        # one of the weights s^4, c^4 nearly vanishes here
+        rng = np.random.default_rng(75)
+        ps = [unique_point_params()] + [random_params(rng) for _ in range(20)]
+        res = objective(alpha, np.array([_to_chart(p) for p in ps]))
+        for k, p in enumerate(ps):
+            assert res[k] == pytest.approx(residual(alpha, p).residual,
+                                           abs=1e-12)
+
+    def test_oracle_just_above_collapse(self):
+        # each chart vector scaled to a norm of 2 ORTHO_COLLAPSE still
+        # decodes to p; E2 nearly parallel to E1 is checked against the
+        # partial trace of the decoded state itself
+        rng = np.random.default_rng(76)
+        alpha = 0.6
+        for _ in range(5):
+            p = random_params(rng)
+            for vec in range(4):
+                chart = _to_chart(p)
+                cols = slice(2 + 8 * vec, 10 + 8 * vec)
+                chart[cols] *= 2.0 * ORTHO_COLLAPSE
+                res = objective(alpha, chart[None])[0]
+                assert res != _PENALTY
+                assert res == pytest.approx(residual(alpha, p).residual,
+                                            abs=1e-12)
+        for eps in (3e-8, 1e-7, 1e-6):
+            chart = _to_chart(random_params(rng))
+            chart[1] = chart[0] + eps      # the D weights ~ the E1 weights
+            chart[18:34] = chart[2:18]     # (x20, x21) = (x10, x11)
+            e1, e2, _, _, bad = _chart_states(chart[None])
+            assert not bad[0]
+            phi = _purification(alpha, e1, e2)
+            rho = partial_trace(np.outer(phi, phi.conj()), (2, 3, 2, 4),
+                                (1, 2))
+            want = np.linalg.norm(rho - _bc_target(alpha))
+            assert objective(alpha, chart[None])[0] == \
+                pytest.approx(want, abs=1e-12)
+
     def test_batch_rows_independent(self):
         # the optimizer merges rows from different branches into one
         # objective call, which is exact only if rows do not interact
         rng = np.random.default_rng(74)
         alpha = 0.8
-        chart = rng.standard_normal((30, 34))
-        chart[:, :2] = rng.uniform(0.0, math.pi / 2, (30, 2))
+        chart = random_chart(rng, 1000)
         chart[11, 2:10] = 0.0                     # x10 = 0: degenerate row
-        target = _bc_target(alpha)
-        batch = _residual_chart(alpha, chart, target)
-        assert np.flatnonzero(batch == _PENALTY).tolist() == [11]
-        for k in range(30):
-            assert _residual_chart(alpha, chart[k:k + 1], target)[0] == batch[k]
+        single = np.array([objective(alpha, chart[k:k + 1])[0]
+                           for k in range(len(chart))])
+        assert np.flatnonzero(single == _PENALTY).tolist() == [11]
+        for rows in (7, 34, 1000):
+            batch = objective(alpha, chart[:rows])
+            assert np.array_equal(batch, single[:rows])
 
 
 class TestScan:
@@ -197,6 +297,33 @@ class TestScan:
         assert rep.distance_at_min <= 1e-3
         assert rep.near_zero_count >= 1
         assert rep.max_distance_near_zero <= 1e-3
+
+    def test_capped_rows_and_next_residual(self, monkeypatch):
+        # both come from the last simplex round: iters >= max_iters, and
+        # the smallest end value outside the near-zero set
+        rounds = []
+
+        def recording(objective, x0, **kwargs):
+            out = nelder_mead_batch(objective, x0, **kwargs)
+            rounds.append((out, kwargs["max_iters"]))
+            return out
+
+        monkeypatch.setattr(uniqueness, "nelder_mead_batch", recording)
+        rep = uniqueness_scan(0.7, n_samples=200, n_local_starts=6, seed=3)
+        (_, vals, iters), max_iters = rounds[-1]
+        assert len(rounds) == 3
+        assert rep.n_capped == np.count_nonzero(iters >= max_iters)
+        far = vals[vals >= NEAR_ZERO_RESIDUAL]
+        assert far.size and rep.next_residual == far.min()
+
+    def test_next_residual_without_far_minima(self, monkeypatch):
+        def at_zero(objective, x0, **kwargs):
+            return x0, np.zeros(len(x0)), np.zeros(len(x0), dtype=int)
+
+        monkeypatch.setattr(uniqueness, "nelder_mead_batch", at_zero)
+        rep = uniqueness_scan(0.7, n_samples=4, n_local_starts=2, seed=3)
+        assert rep.next_residual == math.inf
+        assert rep.n_capped == 0
 
     def test_scan_deterministic(self):
         a = uniqueness_scan(0.7, n_samples=100, n_local_starts=4, seed=9)
