@@ -8,7 +8,7 @@ programming, and scans purifications for marginal uniqueness.
 """
 
 from .bounds import (BoundsReport, FamilyBounds, family_bounds,
-                     family_chsh_bounds, h_bounds, measurement_bounds)
+                     family_chsh_bounds, h_bounds)
 from .correlations import (Decomposition, born_joint3, chsh_value,
                            correlator, decompose, fach_closed_form,
                            horodecki_chsh_max, quantum_joint, recompose)
@@ -21,8 +21,7 @@ from .measurements import (BlochSetting, QutritBasis, SettingsFamily,
 from .optimizer import (OptimizationResult, OptimizerConfig, SweepRecord,
                         maximize_chsh_lower, minimize_chsh_upper, sweep)
 from .qlinalg import hermitian_eigenvalues, partial_trace, permute_subsystems
-from .states import (ghz3, psi, psi1, psi2, rho_ab_analytic,
-                     rho_ac_analytic, rho_cb_analytic)
+from .states import ghz3, psi, psi1, psi2, rho_ab_analytic, rho_ac_analytic
 from .uniqueness import (PurificationParams, Theorem2Report,
                          UniquenessScanReport, UniquenessVerdict,
                          build_purification, residual, theorem2_check,

@@ -11,10 +11,10 @@ One batched kernel gives the per-outcome h ranges of the four
 measurement pairs, outcome-major with the row axis last, so a sum over
 outcomes is two slab adds.  family_chsh_bounds sums them over a batch
 of 14-parameter families (the optimizer's hot loop); family_bounds is a
-batch of one.  measurement_bounds is the checked per-triple path.  All
-share the closed form correlations.outcome_terms, so the independent
-check is the Born rule: the test suite rebuilds the window from
-decompose(quantum_joint(...)) and pins both paths to it at 1e-12.
+batch of one and the only per-pair report.  Both share the closed form
+correlations.outcome_terms, so the independent check is the Born rule:
+the test suite rebuilds every per-outcome window from
+decompose(quantum_joint(...)) and pins the kernel to it at 1e-12.
 """
 
 from __future__ import annotations
@@ -24,10 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .correlations import _check_completion, fach_closed_form, outcome_terms
+from .correlations import _check_completion, outcome_terms
 from .errors import InvalidInputError
-from .measurements import (BlochSetting, QutritBasis, SettingsFamily,
-                           batched_columns, bloch_vectors)
+from .measurements import SettingsFamily, batched_columns, bloch_vectors
 from .states import _check_alpha
 
 
@@ -60,16 +59,6 @@ class BoundsReport:
     upper_b: np.ndarray
     lower_sum: float
     upper_sum: float
-
-
-def measurement_bounds(alpha: float, a: BlochSetting, b: QutritBasis,
-                       c: BlochSetting) -> BoundsReport:
-    """Bounds on the A-C correlator for one measurement triple."""
-    f, abias, cbias = fach_closed_form(_check_alpha(alpha), a, b, c)
-    lower, upper = h_bounds(f, abias, cbias)
-    return BoundsReport(lower_b=lower, upper_b=upper,
-                        lower_sum=float(np.sum(lower)),
-                        upper_sum=float(np.sum(upper)))
 
 
 @dataclass(frozen=True)

@@ -94,32 +94,24 @@ def _fmt(x: float, precision: int) -> str:
 
 
 def record_fields(rec: SweepRecord, precision: int) -> dict:
-    """The serialized view of one sweep record (CSV and JSON share it)."""
-    out = {"alpha": float(_fmt(rec.alpha, precision)),
-           "cos2_alpha": float(_fmt(rec.cos2_alpha, precision)),
-           "L_bar": float(_fmt(rec.l_bar, precision)),
-           "U_bar": float(_fmt(rec.u_bar, precision)),
-           "restarts": rec.restarts,
-           "iterations_total": rec.iterations_total}
-    names = CSV_HEADER.split(",")[6:]
-    for name, value in zip(names, rec.params_lower):
-        out[name] = float(_fmt(value, precision))
-    return out
+    """The serialized view of one sweep record in CSV header order (CSV
+    and JSON share it): each float formatted once, the two counts as ints."""
+    values = (rec.alpha, rec.cos2_alpha, rec.l_bar, rec.u_bar, rec.restarts,
+              rec.iterations_total, *rec.params_lower)
+    return {name: v if isinstance(v, int) else _fmt(v, precision)
+            for name, v in zip(CSV_HEADER.split(","), values)}
 
 
 def records_to_csv(records, precision: int = 9) -> str:
-    lines = [CSV_HEADER]
-    for rec in records:
-        fields = record_fields(rec, precision)
-        lines.append(",".join(
-            str(fields[k]) if k in ("restarts", "iterations_total")
-            else _fmt(fields[k], precision) for k in CSV_HEADER.split(",")))
+    lines = [CSV_HEADER] + [",".join(map(str, record_fields(r, precision)
+                                         .values())) for r in records]
     return "\n".join(lines) + "\n"
 
 
 def records_to_json(records, precision: int = 9) -> str:
-    return json.dumps([record_fields(r, precision) for r in records],
-                      indent=2) + "\n"
+    return json.dumps([{k: v if isinstance(v, int) else float(v)
+                        for k, v in record_fields(r, precision).items()}
+                       for r in records], indent=2) + "\n"
 
 
 def _cmd_sweep(args) -> int:

@@ -64,18 +64,22 @@ def born_joint3(state: np.ndarray, dims: tuple[int, int, int],
     shape (len(set0), len(set1), len(set2)) and is clamped/normalized per
     the documented round-off policy.
     """
-    t = np.asarray(state, dtype=np.complex128).reshape(dims)
+    t = np.asarray(state, dtype=np.complex128)
+    if t.size != math.prod(dims):
+        raise InvalidInputError(f"state has {t.size} entries, dims {dims}")
+    t = t.reshape(dims)
     pa, pb, pc = (np.stack(list(ps)) for ps in projector_sets)
     out = np.einsum("ijk,ail,bjm,ckn,lmn->abc", t.conj(), pa, pb, pc, t).real
     return clamp_probabilities(out)
 
 
 def clamp_probabilities(p: np.ndarray) -> np.ndarray:
-    """Zero out round-off negatives; reject anything more negative."""
+    """Zero out round-off negatives; reject anything more negative, and
+    a NaN entry, which leaves the sum NaN and so fails its check."""
     if float(p.min()) < -tol.PROB_CLAMP:
         raise InvalidInputError(f"negative probability {float(p.min())!r}")
     p = np.where(p < 0.0, 0.0, p)
-    if abs(float(p.sum()) - 1.0) > tol.PROB_SUM:
+    if not abs(float(p.sum()) - 1.0) <= tol.PROB_SUM:
         raise InvalidInputError(f"probabilities sum to {float(p.sum())!r}")
     return p
 
@@ -148,7 +152,7 @@ def fach_closed_form(alpha: float, a: BlochSetting, b: QutritBasis,
 def correlator(d: Decomposition) -> float:
     """A-C correlation coefficient: the sum of h over trit outcomes."""
     e = float(np.sum(d.h))
-    if abs(e) > 1.0 + tol.CORRELATOR_RANGE:
+    if not abs(e) <= 1.0 + tol.CORRELATOR_RANGE:  # a NaN fails too
         raise InvalidInputError(f"correlator {e!r} outside [-1, 1]")
     return e
 

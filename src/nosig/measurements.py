@@ -6,8 +6,8 @@ coordinate pairs (0,1), (0,2), (1,2).  Six angles cover every orthonormal
 basis up to per-column phases, which no downstream quantity depends on.
 The Givens chart is written once, as the entrywise product of the three
 rotations batched over a trailing row axis; a single basis is a batch of
-one.  The Bloch chart has a scalar form for single settings and
-a batched form for the optimizer's hot loop.
+one.  The Bloch chart is written once too, batched for the optimizer's
+hot loop; a single setting evaluates it on scalars.
 """
 
 from __future__ import annotations
@@ -23,14 +23,17 @@ from .errors import InvalidInputError
 @dataclass(frozen=True)
 class BlochSetting:
     """A qubit measurement direction; canonical ranges theta in [0, pi],
-    phi in [0, 2pi), but any real angles are accepted (the map is periodic)."""
+    phi in [0, 2pi), but any finite angles are accepted (the map is
+    periodic)."""
     theta: float
     phi: float
 
+    def __post_init__(self):
+        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
+            raise InvalidInputError("Bloch angles must be finite")
+
     def bloch_vector(self) -> tuple[float, float, float]:
-        st = math.sin(self.theta)
-        return (st * math.cos(self.phi), st * math.sin(self.phi),
-                math.cos(self.theta))
+        return tuple(float(v) for v in bloch_vectors(self.theta, self.phi))
 
 
 @dataclass(frozen=True)
@@ -42,6 +45,8 @@ class QutritBasis:
         if len(self.angles) != 6:
             raise InvalidInputError(f"need 6 angles, got {len(self.angles)}")
         object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
+        if not all(map(math.isfinite, self.angles)):
+            raise InvalidInputError("qutrit angles must be finite")
 
 
 @dataclass(frozen=True)
@@ -63,8 +68,6 @@ class SettingsFamily:
         p = [float(x) for x in params]
         if len(p) != 14:
             raise InvalidInputError(f"need 14 parameters, got {len(p)}")
-        if not all(math.isfinite(x) for x in p):
-            raise InvalidInputError("parameters must be finite")
         return SettingsFamily(
             a1=BlochSetting(p[0], p[1]), a2=BlochSetting(p[2], p[3]),
             c1=BlochSetting(p[4], p[5]), c2=BlochSetting(p[6], p[7]),

@@ -179,14 +179,17 @@ def _stream(entropy: int, *key: int) -> np.random.Generator:
         np.random.SeedSequence(entropy=entropy, spawn_key=key)))
 
 
+# (low, span) of each uniform draw of a random start: (cos theta, phi) of
+# the four qubit settings, then (theta, phi) of the three Givens pairs
+_START_LOW, _START_SPAN = np.array(
+    [(-1.0, 2.0), (0.0, 2.0 * math.pi)] * 4
+    + [(0.0, math.pi / 2), (0.0, 2.0 * math.pi)] * 3).T
+
+
 def _random_start(rng: np.random.Generator) -> np.ndarray:
-    p = np.empty(14)
-    for i in range(4):                       # four qubit settings
-        p[2 * i] = math.acos(rng.uniform(-1.0, 1.0))
-        p[2 * i + 1] = rng.uniform(0.0, 2.0 * math.pi)
-    for i in range(3):                       # three Givens pairs
-        p[8 + 2 * i] = rng.uniform(0.0, math.pi / 2)
-        p[9 + 2 * i] = rng.uniform(0.0, 2.0 * math.pi)
+    p = _START_LOW + _START_SPAN * rng.random(14)
+    # math.acos: np.arccos rounds about one draw in ten differently
+    p[0:8:2] = [math.acos(z) for z in p[0:8:2]]
     return p
 
 

@@ -2,9 +2,9 @@
 
 The family interpolates between a product-of-Bell-pair structure at
 alpha=0 and a three-qubit GHZ state embedded at alpha=pi/2.  Subsystem
-order is fixed as A(2) x B(3) x C(2) with basis index 6a + 2b + c; both
-qubit-qutrit marginals are stored qubit-first, under which convention
-they are equal as matrices.
+order is fixed as A(2) x B(3) x C(2) with basis index 6a + 2b + c.  The
+state is symmetric under swapping A and C, so the C-B marginal, stored
+qubit-first, is the same matrix as rho_ab_analytic.
 
 Analytic marginal constructors here are deliberately independent of the
 numeric partial trace in qlinalg so the two paths can cross-check each
@@ -70,15 +70,6 @@ def rho_ab_analytic(alpha: float) -> np.ndarray:
     """A-B marginal: equal mixture of the two orthogonal branch states."""
     v1, v2 = psi1(alpha), psi2(alpha)
     return 0.5 * (np.outer(v1, v1.conj()) + np.outer(v2, v2.conj()))
-
-
-def rho_cb_analytic(alpha: float) -> np.ndarray:
-    """C-B marginal, stored as (C qubit x B qutrit).
-
-    The state is symmetric under swapping A and C, so this is the same
-    matrix as the A-B marginal under the shared qubit-first convention.
-    """
-    return rho_ab_analytic(alpha)
 
 
 def rho_ac_analytic(alpha: float) -> np.ndarray:

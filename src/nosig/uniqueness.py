@@ -12,7 +12,8 @@ unique point.  Finding none is the numerical content of the theorem.
 
 The chart is written once, batched over rows with the row axis last: the
 E1/E2 blocks and the distance to the unique point each have one
-definition, and the single-point functions use them as batches of one.
+definition, and the single-point functions use them as batches of one;
+residual(alpha, p).distance_to_unique_point is the one per-point distance.
 The scan objective never builds the state.  With S_ij = Tr_A |psi_i><psi_j|
 (fixed per alpha) and the Gram blocks G_ij = E_i E_j^dagger, the B-C
 marginal is 1/2 sum_ij S_ij (x) G_ij, and the target is the same sum at
@@ -35,7 +36,7 @@ from .errors import DegenerateInputError, InvalidInputError
 from .optimizer import _SCAN, _check_seed, _in_blocks, _stream, \
     nelder_mead_batch
 from .qlinalg import partial_trace, permute_subsystems
-from .states import _check_alpha, psi1, psi2, rho_ac_analytic, rho_cb_analytic
+from .states import _check_alpha, psi1, psi2, rho_ab_analytic, rho_ac_analytic
 
 _X_DIM = 4
 _CHART_DIM = 2 + 4 * 2 * _X_DIM  # two Schmidt angles + four complex 4-vectors
@@ -175,14 +176,9 @@ def build_purification(alpha: float, p: PurificationParams) -> np.ndarray:
 
 
 def _bc_target(alpha: float) -> np.ndarray:
-    """The required B-C marginal, reordered from the C-B analytic form."""
-    return permute_subsystems(rho_cb_analytic(alpha), (2, 3), (1, 0))
-
-
-def distance_to_unique_point(p: PurificationParams) -> float:
-    """Max of (c1, effective d0, 1 - |<x10|x21 effective>|); see _distance."""
-    return float(_distance(np.array([p.c1]), p.x10[:, None],
-                           _e_pair(p)[1])[0])
+    """The required B-C marginal.  The state is symmetric under swapping A
+    and C, so the C-B marginal (qubit first) is the A-B matrix; reorder it."""
+    return permute_subsystems(rho_ab_analytic(alpha), (2, 3), (1, 0))
 
 
 def residual(alpha: float, p: PurificationParams) -> UniquenessVerdict:

@@ -18,7 +18,7 @@ import pytest
 from nosig.cli import main, records_to_csv
 from nosig.correlations import (correlator, decompose, fach_closed_form,
                                 horodecki_chsh_max, quantum_joint, recompose)
-from nosig.bounds import measurement_bounds
+from nosig.bounds import family_bounds
 from nosig.feasibility import theorem1_check
 from nosig.measurements import BlochSetting, QutritBasis, SettingsFamily
 from nosig.optimizer import OptimizerConfig, maximize_chsh_lower, sweep
@@ -137,7 +137,7 @@ def test_criterion_8_oracle_equivalence():
         assert np.max(np.abs(d.a - a2)) <= 1e-12
         assert np.max(np.abs(d.c - c2)) <= 1e-12
         assert np.max(np.abs(recompose(d) - joint)) <= 1e-14
-        rep = measurement_bounds(alpha, a, b, c)
+        rep = family_bounds(alpha, fam).m11
         e = correlator(d)
         assert rep.lower_sum - 1e-10 <= e <= rep.upper_sum + 1e-10
         other_b = QutritBasis(tuple(rng.uniform(0, 2 * math.pi, 6)))

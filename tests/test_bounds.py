@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from nosig.bounds import (BoundsReport, FamilyBounds, batched_columns,
-                          family_bounds, family_chsh_bounds, h_bounds,
-                          measurement_bounds)
+                          family_bounds, family_chsh_bounds, h_bounds)
 from nosig import tolerances as tol
 from nosig.correlations import (Decomposition, chsh_value, correlator,
                                 decompose, outcome_terms, quantum_joint)
@@ -94,16 +93,16 @@ class TestHBounds:
 
 
 class TestMeasurementBounds:
+    # the per-pair reports m11..m22 of family_bounds
     def test_alpha_zero_unit_window(self):
         rng = np.random.default_rng(43)
         for _ in range(10):
-            fam = random_family(rng)
-            rep = measurement_bounds(0.0, fam.a1, fam.b, fam.c1)
+            rep = family_bounds(0.0, random_family(rng)).m11
             assert rep.lower_sum == pytest.approx(-1.0, abs=1e-12)
             assert rep.upper_sum == pytest.approx(1.0, abs=1e-12)
 
     def test_ghz_pinning(self):
-        rep = measurement_bounds(math.pi / 2, Z, B_COMP, Z)
+        rep = family_bounds(math.pi / 2, GHZ_FAMILY).m11
         assert rep.lower_sum == pytest.approx(1.0, abs=1e-14)
         assert rep.upper_sum == pytest.approx(1.0, abs=1e-14)
 
@@ -112,7 +111,7 @@ class TestMeasurementBounds:
         for _ in range(50):
             alpha = rng.uniform(0, math.pi / 2)
             fam = random_family(rng)
-            rep = measurement_bounds(alpha, fam.a1, fam.b, fam.c1)
+            rep = family_bounds(alpha, fam).m11
             e = correlator(decompose(quantum_joint(alpha, fam.a1, fam.b, fam.c1)))
             assert rep.lower_sum - 1e-10 <= e <= rep.upper_sum + 1e-10
             assert np.all(rep.lower_b <= rep.upper_b + 1e-10)
@@ -180,51 +179,35 @@ class TestFamilyBounds:
 
 
 class TestBatchedPath:
-    def test_matches_report_path(self):
-        # family_bounds is the batched kernel on a batch of one; the
-        # per-triple path goes through fach_closed_form and h_bounds
-        rng = np.random.default_rng(49)
-        for _ in range(50):
-            alpha = rng.uniform(0, math.pi / 2)
-            fam = SettingsFamily.from_params(rng.uniform(-2, 8, 14))
-            fb = family_bounds(alpha, fam)
-            got = (fb.m11, fb.m12, fb.m21, fb.m22)
-            want = [measurement_bounds(alpha, a, fam.b, c)
-                    for a, c in ((fam.a1, fam.c1), (fam.a1, fam.c2),
-                                 (fam.a2, fam.c1), (fam.a2, fam.c2))]
-            for g, w in zip(got, want):
-                assert np.max(np.abs(g.lower_b - w.lower_b)) <= 1e-12
-                assert np.max(np.abs(g.upper_b - w.upper_b)) <= 1e-12
-                assert g.lower_sum == pytest.approx(w.lower_sum, abs=1e-12)
-                assert g.upper_sum == pytest.approx(w.upper_sum, abs=1e-12)
-            lo = [w.lower_sum for w in want]
-            up = [w.upper_sum for w in want]
-            assert fb.chsh_lower == pytest.approx(
-                lo[0] + lo[1] + lo[2] - up[3], abs=1e-12)
-            assert fb.chsh_upper == pytest.approx(
-                up[0] + up[1] + up[2] - lo[3], abs=1e-12)
-
     def test_born_rule_oracle(self):
         # family_bounds shares the batched closed form, so the independent
-        # reference is the window rebuilt from Born-rule statistics
+        # reference is each pair's window rebuilt from Born-rule statistics
         rng = np.random.default_rng(52)
         for _ in range(60):
             alpha = rng.uniform(0, math.pi / 2)
             p = rng.uniform(-2, 8, 14)
             fam = SettingsFamily.from_params(p)
-
-            def window(a, c):
+            fb = family_bounds(alpha, fam)
+            lo_sums, up_sums = [], []
+            pairs = ((fb.m11, fam.a1, fam.c1), (fb.m12, fam.a1, fam.c2),
+                     (fb.m21, fam.a2, fam.c1), (fb.m22, fam.a2, fam.c2))
+            for rep, a, c in pairs:
                 d = decompose(quantum_joint(alpha, a, fam.b, c))
                 lo, up = h_bounds(d.f, d.a, d.c)
-                return np.sum(lo), np.sum(up)
-
-            l11, u11 = window(fam.a1, fam.c1)
-            l12, u12 = window(fam.a1, fam.c2)
-            l21, u21 = window(fam.a2, fam.c1)
-            l22, u22 = window(fam.a2, fam.c2)
+                assert np.max(np.abs(rep.lower_b - lo)) <= 1e-12
+                assert np.max(np.abs(rep.upper_b - up)) <= 1e-12
+                assert rep.lower_sum == pytest.approx(np.sum(lo), abs=1e-12)
+                assert rep.upper_sum == pytest.approx(np.sum(up), abs=1e-12)
+                lo_sums.append(np.sum(lo))
+                up_sums.append(np.sum(up))
+            l11, l12, l21, l22 = lo_sums
+            u11, u12, u21, u22 = up_sums
+            want_lo, want_up = l11 + l12 + l21 - u22, u11 + u12 + u21 - l22
+            assert fb.chsh_lower == pytest.approx(want_lo, abs=1e-12)
+            assert fb.chsh_upper == pytest.approx(want_up, abs=1e-12)
             lo, up = family_chsh_bounds(alpha, p[None, :])
-            assert lo[0] == pytest.approx(l11 + l12 + l21 - u22, abs=1e-12)
-            assert up[0] == pytest.approx(u11 + u12 + u21 - l22, abs=1e-12)
+            assert lo[0] == pytest.approx(want_lo, abs=1e-12)
+            assert up[0] == pytest.approx(want_up, abs=1e-12)
 
     def test_antipodal_c_flips_window(self):
         # C -> -C swaps a + c and a - c, so the window maps to its negative

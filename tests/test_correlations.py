@@ -120,6 +120,12 @@ class TestQuantumJoint:
             clamp_probabilities(p)
         assert str(exc.value) == "negative probability -1e-09"
 
+    @pytest.mark.parametrize("p", [[math.nan, 1.0], [math.nan, math.nan],
+                                   [0.25, math.nan, 0.75]])
+    def test_nan_rejected(self, p):
+        with pytest.raises(InvalidInputError, match="nan"):
+            clamp_probabilities(np.array(p))
+
 
 class TestDecomposition:
     def test_ghz_b0_components(self):
@@ -221,6 +227,12 @@ class TestCorrelator:
         d = Decomposition(f=np.array([1 / 3] * 3), a=np.zeros(3),
                           c=np.zeros(3), h=np.array([0.5, 0.5, 0.5]))
         with pytest.raises(InvalidInputError):
+            correlator(d)
+
+    def test_nan_rejected(self):
+        d = Decomposition(f=np.array([1 / 3] * 3), a=np.zeros(3),
+                          c=np.zeros(3), h=np.array([0.1, math.nan, 0.1]))
+        with pytest.raises(InvalidInputError, match="nan"):
             correlator(d)
 
     def test_independent_of_b_and_matches_ac_state(self):
@@ -346,3 +358,9 @@ class TestBornJoint3:
         p = born_joint3(ghz3(), (2, 2, 2), (zp, zp, zp))
         assert p[0, 0, 0] == pytest.approx(0.5, abs=1e-14)
         assert p[1, 1, 1] == pytest.approx(0.5, abs=1e-14)
+
+    @pytest.mark.parametrize("size", [7, 9, 12])
+    def test_state_size_must_match_dims(self, size):
+        zp = [np.diag([1.0 + 0j, 0]), np.diag([0, 1.0 + 0j])]
+        with pytest.raises(InvalidInputError, match=f"{size} entries"):
+            born_joint3(np.zeros(size), (2, 2, 2), (zp, zp, zp))

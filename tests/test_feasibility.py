@@ -232,6 +232,10 @@ class TestOutputDigest:
 
 
 class TestTheorem1:
+    def test_state_of_wrong_size_is_an_input_error(self):
+        with pytest.raises(InvalidInputError, match="7 entries"):
+            theorem1_check(np.zeros(7))
+
     def test_independence_contradiction(self):
         rep = theorem1_check()
         assert rep.independence

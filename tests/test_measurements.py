@@ -6,8 +6,9 @@ import pytest
 
 from nosig.errors import InvalidInputError
 from nosig.measurements import (BlochSetting, QutritBasis, SettingsFamily,
-                                batched_columns, qubit_projector,
-                                qutrit_projector, qutrit_unitary)
+                                batched_columns, bloch_vectors,
+                                qubit_projector, qutrit_projector,
+                                qutrit_unitary)
 
 
 def random_basis(rng):
@@ -27,6 +28,21 @@ class TestBlochSetting:
                            (0, 0, -1), atol=1e-15)
         assert np.allclose(BlochSetting(math.pi / 2, 0.0).bloch_vector(),
                            (1, 0, 0), atol=1e-15)
+
+    def test_one_chart_with_the_batched_form(self):
+        rng = np.random.default_rng(22)
+        theta, phi = rng.uniform(-10, 10, (2, 200))
+        batched = np.array(bloch_vectors(theta, phi))
+        for k in range(200):
+            v = BlochSetting(theta[k], phi[k]).bloch_vector()
+            assert all(type(x) is float for x in v)
+            assert v == tuple(batched[:, k])
+
+    @pytest.mark.parametrize("theta, phi", [(math.nan, 0.0), (0.0, math.nan),
+                                            (math.inf, 0.0), (0.0, -math.inf)])
+    def test_non_finite_angles_rejected(self, theta, phi):
+        with pytest.raises(InvalidInputError, match="finite"):
+            BlochSetting(theta, phi)
 
 
 class TestQubitProjectors:
@@ -77,6 +93,11 @@ class TestQutritBasis:
     def test_angle_count_validation(self):
         with pytest.raises(InvalidInputError):
             QutritBasis((0.0, 1.0, 2.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angles_rejected(self, bad):
+        with pytest.raises(InvalidInputError, match="finite"):
+            QutritBasis((0.0,) * 5 + (bad,))
 
     def test_outcome_validation(self):
         with pytest.raises(InvalidInputError):
@@ -139,3 +160,10 @@ class TestSettingsFamily:
     def test_length_validation(self):
         with pytest.raises(InvalidInputError):
             SettingsFamily.from_params([0.0] * 13)
+
+    @pytest.mark.parametrize("k", [0, 7, 13])
+    def test_non_finite_entry_rejected_by_the_settings(self, k):
+        p = [0.3] * 14
+        p[k] = math.nan
+        with pytest.raises(InvalidInputError, match="finite"):
+            SettingsFamily.from_params(p)

@@ -13,8 +13,7 @@ from nosig.uniqueness import (_PENALTY, PurificationParams,
                               _bc_target, _chart_states, _distance_chart,
                               _purification, _residual_chart, _to_chart,
                               _unique_grams,
-                              build_purification,
-                              distance_to_unique_point, residual,
+                              build_purification, residual,
                               theorem2_check, unique_point_params,
                               uniqueness_scan)
 
@@ -161,8 +160,13 @@ class TestUniquePoint:
         assert floor > 1e-4
 
     def test_distance_definition(self):
+        # residual() is the one per-point distance; it does not read alpha
         p = unique_point_params()
-        assert distance_to_unique_point(p) <= 1e-12
+        assert residual(0.3, p).distance_to_unique_point <= 1e-12
+        rng = np.random.default_rng(73)
+        q = random_params(rng)
+        assert residual(0.3, q).distance_to_unique_point == \
+            residual(1.2, q).distance_to_unique_point
 
     def test_distance_known_point(self):
         # E2 is already orthogonal to E1 = (x10, 0), so d0_eff = 0.1 and
@@ -172,7 +176,6 @@ class TestUniquePoint:
                                x10=e[0], x11=e[1], x20=e[2],
                                x21=(e[0] + e[3]) / math.sqrt(2.0))
         want = 1.0 - 1.0 / math.sqrt(2.0)
-        assert distance_to_unique_point(p) == pytest.approx(want, abs=1e-12)
         assert residual(0.7, p).distance_to_unique_point == \
             pytest.approx(want, abs=1e-12)
 
