@@ -17,10 +17,10 @@ from .errors import (DegenerateInputError, InvalidInputError,
 from .feasibility import (FeasibilityResult, MarginalSpec, Theorem1Report,
                           joint_feasible, theorem1_check)
 from .measurements import (BlochSetting, QutritBasis, SettingsFamily,
-                           qubit_projector, qutrit_projector, qutrit_unitary)
+                           qubit_projector, qutrit_unitary)
 from .optimizer import (OptimizationResult, OptimizerConfig, SweepRecord,
                         maximize_chsh_lower, minimize_chsh_upper, sweep)
-from .qlinalg import hermitian_eigenvalues, partial_trace, permute_subsystems
+from .qlinalg import hermitian_eigenvalues, partial_trace
 from .states import ghz3, psi, psi1, psi2, rho_ab_analytic, rho_ac_analytic
 from .uniqueness import (PurificationParams, Theorem2Report,
                          UniquenessScanReport, UniquenessVerdict,

@@ -14,12 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 
 import numpy as np
 
-from . import tolerances as tol
 from .bounds import family_bounds
 from .correlations import (correlator, decompose, horodecki_chsh_max,
                            quantum_joint)
@@ -89,16 +89,12 @@ def parse_params(text: str) -> list[float]:
     return [parse_angle(p) for p in parts]
 
 
-def _fmt(x: float, precision: int) -> str:
-    return f"{x:.{precision}g}"
-
-
 def record_fields(rec: SweepRecord, precision: int) -> dict:
     """The serialized view of one sweep record in CSV header order (CSV
     and JSON share it): each float formatted once, the two counts as ints."""
     values = (rec.alpha, rec.cos2_alpha, rec.l_bar, rec.u_bar, rec.restarts,
               rec.iterations_total, *rec.params_lower)
-    return {name: v if isinstance(v, int) else _fmt(v, precision)
+    return {name: v if isinstance(v, int) else f"{v:.{precision}g}"
             for name, v in zip(CSV_HEADER.split(","), values)}
 
 
@@ -120,9 +116,15 @@ def _cmd_sweep(args) -> int:
     cfg = OptimizerConfig(restarts=args.restarts, max_iters=args.max_iters,
                           tol=args.tol, seed=args.seed,
                           alpha_grid=parse_grid(args.grid))
+    created = args.out is not None and not os.path.exists(args.out)
     if args.out is not None:
         open(args.out, "a").close()  # fail before the search, truncate nothing
-    records = sweep(cfg)
+    try:
+        records = sweep(cfg)
+    except BaseException:  # Ctrl-C too: remove only a file this run made
+        if created:
+            os.remove(args.out)
+        raise
     text = (records_to_csv(records, args.precision) if args.format == "csv"
             else records_to_json(records, args.precision))
     if args.out is None:
@@ -157,7 +159,7 @@ def _cmd_chsh(args) -> int:
         alpha = math.acos(math.sqrt(c2))
     else:
         alpha = parse_angle(args.alpha)
-    print(_fmt(horodecki_chsh_max(rho_ac_analytic(alpha)), 9))
+    print(f"{horodecki_chsh_max(rho_ac_analytic(alpha)):.9g}")
     return 0
 
 
@@ -197,8 +199,9 @@ def _cmd_ghz_check(args) -> int:
 
 
 def _cmd_uniqueness(args) -> int:
-    rep = uniqueness_scan(parse_angle(args.alpha), n_samples=args.samples,
-                          n_local_starts=args.starts, seed=args.seed)
+    scan_args = {k: v for k, v in vars(args).items()
+                 if k not in ("command", "func", "alpha")}
+    rep = uniqueness_scan(parse_angle(args.alpha), **scan_args)
     print(f"alpha={rep.alpha:.9g} samples={rep.n_samples} "
           f"local_starts={rep.n_local_starts} seed={rep.seed}")
     print(f"min residual      : {rep.min_residual:.6e}")
@@ -227,10 +230,11 @@ def build_parser() -> argparse.ArgumentParser:
                                      "an alpha grid and emit CSV or JSON")
     p.add_argument("--grid", required=True,
                    help="start:end:n (angles, pi allowed) or comma list")
-    p.add_argument("--restarts", type=int, default=200)
-    p.add_argument("--max-iters", type=int, default=2000)
-    p.add_argument("--tol", type=float, default=tol.SIMPLEX_DIAMETER)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--restarts", type=int, default=OptimizerConfig.restarts)
+    p.add_argument("--max-iters", type=int,
+                   default=OptimizerConfig.max_iters)
+    p.add_argument("--tol", type=float, default=OptimizerConfig.tol)
+    p.add_argument("--seed", type=int, default=OptimizerConfig.seed)
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--precision", type=int, default=9,
@@ -263,9 +267,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("uniqueness", help="purification uniqueness scan")
     p.add_argument("--alpha", required=True)
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--starts", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    # unset flags stay out of the namespace: uniqueness_scan's defaults hold
+    p.add_argument("--samples", type=int, dest="n_samples",
+                   default=argparse.SUPPRESS)
+    p.add_argument("--starts", type=int, dest="n_local_starts",
+                   default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_uniqueness)
     return parser
 

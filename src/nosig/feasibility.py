@@ -23,6 +23,7 @@ import numpy as np
 from . import tolerances as tol
 from .correlations import born_joint3
 from .errors import InvalidInputError
+from .optimizer import _is_count
 from .states import ghz3
 
 _Z_PROJECTORS = [np.diag([1.0 + 0j, 0.0]), np.diag([0.0, 1.0 + 0j])]
@@ -48,8 +49,8 @@ class MarginalSpec:
     def __post_init__(self):
         shape = (self.n_a, self.n_b, self.n_c)
         for n, name in zip(shape, ("n_a", "n_b", "n_c")):
-            if n < 1:
-                raise InvalidInputError(f"{name} must be positive, got {n}")
+            if not _is_count(n, 1):
+                raise InvalidInputError(f"{name} must be a positive integer")
         first = {}  # party -> (table, axis) of the first table that fixes it
         for name, summed in _PAIRS:
             table = getattr(self, name)

@@ -7,7 +7,8 @@ basis up to per-column phases, which no downstream quantity depends on.
 The Givens chart is written once, as the entrywise product of the three
 rotations batched over a trailing row axis; a single basis is a batch of
 one.  The Bloch chart is written once too, batched for the optimizer's
-hot loop; a single setting evaluates it on scalars.
+hot loop; a single setting evaluates it on scalars.  Only the qubit
+projector lives here: a qutrit outcome projects onto its basis column.
 """
 
 from __future__ import annotations
@@ -120,10 +121,3 @@ def batched_columns(b_angles: np.ndarray) -> np.ndarray:
 def qutrit_unitary(q: QutritBasis) -> np.ndarray:
     """The basis matrix of one qutrit setting; columns are the basis."""
     return batched_columns(np.array(q.angles)[:, None])[..., 0]
-
-
-def qutrit_projector(q: QutritBasis, outcome: int) -> np.ndarray:
-    if outcome not in (0, 1, 2):
-        raise InvalidInputError(f"qutrit outcome must be 0, 1 or 2, got {outcome!r}")
-    v = qutrit_unitary(q)[:, outcome]
-    return np.outer(v, v.conj())

@@ -53,10 +53,9 @@ class OptimizerConfig:
     alpha_grid: tuple[float, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise InvalidInputError(f"restarts must be >= 1, got {self.restarts}")
-        if self.max_iters < 1:
-            raise InvalidInputError(f"max_iters must be >= 1, got {self.max_iters}")
+        for name in ("restarts", "max_iters"):
+            if not _is_count(getattr(self, name), 1):
+                raise InvalidInputError(f"{name} must be an integer >= 1")
         if not (0 <= self.tol < math.inf):
             raise InvalidInputError(f"tol must be in [0, inf), got {self.tol}")
         _check_seed(self.seed)
@@ -69,7 +68,6 @@ class OptimizationResult:
     value: float
     params: np.ndarray
     iterations: int
-    restarts: int
 
 
 @dataclass(frozen=True)
@@ -166,9 +164,15 @@ def nelder_mead_batch(objective, x0: np.ndarray, *, max_iters: int,
     return x[rank[:, 0]], f[rank[:, 0]], iters
 
 
+def _is_count(n, floor: int) -> bool:
+    """The count rule: an int or np.integer, not a bool, at least floor."""
+    return (isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+            and n >= floor)
+
+
 def _check_seed(seed: int) -> int:
     """The seed rule of every randomized command: an integer in [0, 2**64)."""
-    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2 ** 64:
+    if not (_is_count(seed, 0) and seed < 2 ** 64):
         raise InvalidInputError("seed must fit in 64 unsigned bits")
     return seed
 
@@ -217,8 +221,7 @@ def _search(alpha: float, cfg: OptimizerConfig, grid_index: int,
     k = int(np.argmin(vals))
     return OptimizationResult(value=sign * float(vals[k]),
                               params=pts[k].copy(),
-                              iterations=int(iters.sum()),
-                              restarts=cfg.restarts)
+                              iterations=int(iters.sum()))
 
 
 def maximize_chsh_lower(alpha: float, cfg: OptimizerConfig,

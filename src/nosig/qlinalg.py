@@ -1,8 +1,8 @@
 """Small-dimension complex linear algebra.
 
 Everything in this module operates on plain numpy arrays (complex128):
-validation of Hermitian and density matrices, partial traces, subsystem
-permutations and Hermitian eigenvalues, the last through numpy's eigvalsh.
+validation of Hermitian and density matrices, partial traces and
+Hermitian eigenvalues, the last through numpy's eigvalsh.
 """
 
 from __future__ import annotations
@@ -45,24 +45,19 @@ def check_density(m) -> np.ndarray:
     return a
 
 
-def _subsystem_tensor(rho, dims: Sequence[int]):
-    """rho as the dims + dims tensor, and dims as a tuple of ints."""
-    a = as_complex_matrix(rho)
-    dims = tuple(int(d) for d in dims)
-    total = math.prod(dims)
-    if a.shape != (total, total):
-        raise InvalidInputError(
-            f"dims {dims} imply shape {(total, total)}, got {a.shape}")
-    return a.reshape(dims + dims), dims
-
-
 def partial_trace(rho, dims: Sequence[int], keep) -> np.ndarray:
     """Reduced matrix of rho on the kept subsystems, in original order.
 
     dims lists the subsystem dimensions whose product must match rho;
     keep is an iterable of subsystem indices to retain.
     """
-    t, dims = _subsystem_tensor(rho, dims)
+    a = as_complex_matrix(rho)
+    dims = tuple(int(d) for d in dims)
+    total = math.prod(dims)
+    if a.shape != (total, total):
+        raise InvalidInputError(
+            f"dims {dims} imply shape {(total, total)}, got {a.shape}")
+    t = a.reshape(dims + dims)
     keep = sorted(set(int(k) for k in keep))
     if any(k < 0 or k >= len(dims) for k in keep):
         raise InvalidInputError(f"keep indices {keep} out of range")
@@ -76,18 +71,6 @@ def partial_trace(rho, dims: Sequence[int], keep) -> np.ndarray:
         remaining -= 1
     d_keep = math.prod(dims[k] for k in keep) if keep else 1
     return t.reshape(d_keep, d_keep)
-
-
-def permute_subsystems(rho, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
-    """Reorder the tensor factors of rho: subsystem perm[i] moves to slot i."""
-    t, dims = _subsystem_tensor(rho, dims)
-    perm = tuple(int(p) for p in perm)
-    if sorted(perm) != list(range(len(dims))):
-        raise InvalidInputError(f"perm {perm} is not a permutation")
-    n = len(dims)
-    axes = perm + tuple(p + n for p in perm)
-    d = math.prod(dims)
-    return np.transpose(t, axes).reshape(d, d)
 
 
 def hermitian_eigenvalues(m) -> list[float]:

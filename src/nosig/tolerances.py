@@ -2,11 +2,11 @@
 
 Every accuracy judgment takes its tolerance from here so that the whole
 artifact can be audited (or tightened) in one place.  SIMPLEX_DIAMETER is
-the default of OptimizerConfig.tol and of the CLI's ``--tol``, so a run
-can set its own Nelder-Mead tolerance; the other entries are fixed.  Four
-1e-12 literals that only guard arithmetic or trim output stay local: the
-division guard in uniqueness._distance, the LP's two pivot thresholds and
-the witness print cut-off of ``ghz-check``.
+the default of OptimizerConfig.tol, which the CLI's ``--tol`` takes as its
+default, so a run can set its own Nelder-Mead tolerance; the other entries
+are fixed.  Four 1e-12 literals that only guard arithmetic or trim output
+stay local: the division guard in uniqueness._distance, the LP's two pivot
+thresholds and the witness print cut-off of ``ghz-check``.
 """
 
 UNIT_NORM = 1e-12          # |<v|v> - 1| for vectors flagged unit

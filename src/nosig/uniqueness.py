@@ -33,9 +33,9 @@ import numpy as np
 from . import tolerances as tol
 from .correlations import horodecki_chsh_max
 from .errors import DegenerateInputError, InvalidInputError
-from .optimizer import _SCAN, _check_seed, _in_blocks, _stream, \
+from .optimizer import _SCAN, _check_seed, _in_blocks, _is_count, _stream, \
     nelder_mead_batch
-from .qlinalg import partial_trace, permute_subsystems
+from .qlinalg import partial_trace
 from .states import _check_alpha, psi1, psi2, rho_ab_analytic, rho_ac_analytic
 
 _X_DIM = 4
@@ -178,7 +178,8 @@ def build_purification(alpha: float, p: PurificationParams) -> np.ndarray:
 def _bc_target(alpha: float) -> np.ndarray:
     """The required B-C marginal.  The state is symmetric under swapping A
     and C, so the C-B marginal (qubit first) is the A-B matrix; reorder it."""
-    return permute_subsystems(rho_ab_analytic(alpha), (2, 3), (1, 0))
+    return rho_ab_analytic(alpha).reshape(2, 3, 2, 3).transpose(
+        1, 0, 3, 2).reshape(6, 6)
 
 
 def residual(alpha: float, p: PurificationParams) -> UniquenessVerdict:
@@ -274,7 +275,8 @@ def uniqueness_scan(alpha: float, n_samples: int = 10000,
     if a in (0.0, math.pi / 2):
         raise InvalidInputError(
             f"alpha={a!r} must lie strictly inside (0, pi/2)")
-    if not 1 <= n_local_starts <= n_samples:
+    if not (_is_count(n_local_starts, 1)
+            and _is_count(n_samples, n_local_starts)):
         raise InvalidInputError("need 1 <= n_local_starts <= n_samples")
     rng = _stream(_check_seed(seed), _SCAN)
     chart = np.empty((n_samples, _CHART_DIM))
@@ -324,16 +326,15 @@ class Theorem2Report:
         return self.scan.confirmed and self.chsh_max > 2.0 + tol.VIOLATION_STRICT
 
 
-def theorem2_check(alpha: float, n_samples: int = 10000,
-                   n_local_starts: int = 100, seed: int = 0) -> Theorem2Report:
-    """Uniqueness scan combined with the A-C CHSH maximum.
+def theorem2_check(alpha: float, **scan_args) -> Theorem2Report:
+    """Uniqueness scan combined with the A-C CHSH maximum; scan_args go to
+    uniqueness_scan unchanged.
 
     The contradiction (hence signaling) arises when cos^2(alpha) exceeds
     1/sqrt(2); below that the report simply shows no violation.  The
     endpoints are rejected because uniqueness genuinely fails there.
     """
-    scan = uniqueness_scan(alpha, n_samples=n_samples,
-                           n_local_starts=n_local_starts, seed=seed)
+    scan = uniqueness_scan(alpha, **scan_args)
     a = scan.alpha
     return Theorem2Report(alpha=a, cos2_alpha=math.cos(a) ** 2,
                           chsh_max=horodecki_chsh_max(rho_ac_analytic(a)),

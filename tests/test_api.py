@@ -13,9 +13,9 @@ PUBLIC = [
     "fach_closed_form", "family_bounds", "family_chsh_bounds", "feasibility",
     "ghz3", "h_bounds", "hermitian_eigenvalues", "horodecki_chsh_max",
     "joint_feasible", "maximize_chsh_lower", "measurements",
-    "minimize_chsh_upper", "optimizer", "partial_trace", "permute_subsystems",
-    "psi", "psi1", "psi2", "qlinalg", "quantum_joint", "qubit_projector",
-    "qutrit_projector", "qutrit_unitary", "recompose", "residual",
+    "minimize_chsh_upper", "optimizer", "partial_trace", "psi", "psi1",
+    "psi2", "qlinalg", "quantum_joint", "qubit_projector", "qutrit_unitary",
+    "recompose", "residual",
     "rho_ab_analytic", "rho_ac_analytic", "states", "sweep", "theorem1_check",
     "theorem2_check", "tolerances", "unique_point_params", "uniqueness",
     "uniqueness_scan",
@@ -23,5 +23,5 @@ PUBLIC = [
 
 
 def test_public_names_pinned():
-    assert len(PUBLIC) == 62
+    assert len(PUBLIC) == 60
     assert sorted(nosig.__all__) == PUBLIC

@@ -10,6 +10,7 @@ from nosig.cli import (CSV_HEADER, main, parse_angle, parse_grid,
                        parse_params)
 from nosig.errors import (DegenerateInputError, InvalidInputError,
                           InvalidMarginalError)
+from nosig.uniqueness import UniquenessScanReport
 
 SWEEP_ARGS = ["sweep", "--grid", "0:pi/2:3", "--restarts", "2",
               "--max-iters", "300", "--seed", "4"]
@@ -178,6 +179,24 @@ class TestSweepCommand:
         assert path.read_text() == "earlier output\n"
         assert capsys.readouterr().err == "error: search failed\n"
 
+    def test_failed_search_removes_new_out(self, capsys, monkeypatch,
+                                           tmp_path):
+        # the file this run created goes, on exit 3 and on Ctrl-C alike
+        def failing_search(cfg):
+            raise RuntimeError("search failed")
+
+        def interrupted_search(cfg):
+            raise KeyboardInterrupt
+
+        path = tmp_path / "new.csv"
+        monkeypatch.setattr(cli, "sweep", failing_search)
+        assert main(SWEEP_ARGS + ["--out", str(path)]) == 3
+        assert not path.exists()
+        monkeypatch.setattr(cli, "sweep", interrupted_search)
+        with pytest.raises(KeyboardInterrupt):
+            main(SWEEP_ARGS + ["--out", str(path)])
+        assert not path.exists()
+
     @pytest.mark.parametrize("precision", ["0", "-1"])
     def test_bad_precision_rejected_before_search(self, capsys, monkeypatch,
                                                   precision):
@@ -250,6 +269,24 @@ class TestGhzCheckCommand:
         assert "p(0,0,0) = 0.5" in out
         assert "p(1,1,1) = 0.5" in out
 
+    @pytest.mark.parametrize("flags, first", [
+        ([], "FEASIBLE (unexpected: Theorem 1 NOT reproduced)"),
+        (["--no-independence"],
+         "INFEASIBLE (unexpected without the independence condition)")],
+        ids=["independence", "no-independence"])
+    def test_unexpected_verdict_exits_1(self, capsys, monkeypatch, flags,
+                                        first):
+        # feasible with independence, infeasible without: both fail the check
+        def flipped(independence):
+            return feasibility.Theorem1Report(
+                independence=independence,
+                result=feasibility.FeasibilityResult(
+                    feasible=independence, witness=None, residual=0.5))
+
+        monkeypatch.setattr(cli, "theorem1_check", flipped)
+        assert main(["ghz-check"] + flags) == 1
+        assert capsys.readouterr().out.splitlines()[0] == first
+
 
 class TestUniquenessCommand:
     def test_small_confirmed_scan(self, capsys):
@@ -259,6 +296,24 @@ class TestUniquenessCommand:
         assert "CONFIRMED" in out
         assert "min residual" in out
         assert "rows at max_iters, next residual" in out
+
+    def test_counterexample_exits_1(self, capsys, monkeypatch):
+        calls = []
+
+        def counterexample(alpha, **scan_args):
+            calls.append(scan_args)
+            return UniquenessScanReport(
+                alpha=alpha, n_samples=10, n_local_starts=2, seed=0,
+                min_residual=0.0, distance_at_min=0.5, near_zero_count=2,
+                max_distance_near_zero=0.5, n_capped=0, next_residual=1.0,
+                confirmed=False)
+
+        monkeypatch.setattr(cli, "uniqueness_scan", counterexample)
+        assert main(["uniqueness", "--alpha", "pi/4"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == ("NOT CONFIRMED: a counterexample candidate was "
+                             "found")
+        assert calls == [{}]  # unset flags leave the library defaults
 
     def test_endpoint_usage_error(self, capsys):
         assert main(["uniqueness", "--alpha", "0", "--samples", "10",

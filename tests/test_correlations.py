@@ -85,16 +85,18 @@ class TestQuantumJoint:
             assert j.min() >= 0.0
 
     def test_ab_marginal_matches_density_matrix(self):
-        from nosig.measurements import qubit_projector, qutrit_projector
+        from nosig.measurements import qubit_projector
         rng = np.random.default_rng(33)
         for _ in range(10):
             alpha = rng.uniform(0, math.pi / 2)
             a, b, c = random_settings(rng)
             j = quantum_joint(alpha, a, b, c)
             rho = rho_ab_analytic(alpha)
+            u = qutrit_unitary(b)
             for ia, sa in enumerate((+1, -1)):
                 for ib in range(3):
-                    op = np.kron(qubit_projector(a, sa), qutrit_projector(b, ib))
+                    pb = np.outer(u[:, ib], u[:, ib].conj())
+                    op = np.kron(qubit_projector(a, sa), pb)
                     want = np.trace(rho @ op).real
                     assert j[ia, ib, :].sum() == pytest.approx(want, abs=1e-12)
 
@@ -155,6 +157,10 @@ class TestDecomposition:
                           a=np.array([0.5, 0.0, 0.0]),
                           c=np.zeros(3), h=np.zeros(3))
         with pytest.raises(InvalidInputError):
+            d.validate()
+        d = Decomposition(f=np.array([0.2, 0.3, 0.4]), a=np.zeros(3),
+                          c=np.zeros(3), h=np.zeros(3))
+        with pytest.raises(InvalidInputError, match="do not sum to 1"):
             d.validate()
 
 

@@ -57,8 +57,9 @@ class TestMarginalSpecValidation:
             MarginalSpec(n_a=2, n_b=3, n_c=2, ab=np.full((2, 2), 0.25))
 
     def test_bad_outcome_count(self):
-        with pytest.raises(InvalidInputError):
-            MarginalSpec(n_a=0, n_b=2, n_c=2)
+        for bad in (0, 2.0, True):
+            with pytest.raises(InvalidInputError):
+                MarginalSpec(n_a=bad, n_b=2, n_c=2)
 
     def test_conflicting_shared_marginal(self):
         ab = np.array([[0.5, 0.1], [0.2, 0.2]])   # a-marginal (0.6, 0.4)

@@ -7,8 +7,7 @@ import pytest
 from nosig.errors import InvalidInputError
 from nosig.measurements import (BlochSetting, QutritBasis, SettingsFamily,
                                 batched_columns, bloch_vectors,
-                                qubit_projector, qutrit_projector,
-                                qutrit_unitary)
+                                qubit_projector, qutrit_unitary)
 
 
 def random_basis(rng):
@@ -76,20 +75,6 @@ class TestQutritBasis:
     def test_identity_at_zero_angles(self):
         assert np.allclose(qutrit_unitary(QutritBasis((0.0,) * 6)), np.eye(3))
 
-    def test_projectors_resolve_identity(self):
-        rng = np.random.default_rng(24)
-        q = random_basis(rng)
-        total = sum(qutrit_projector(q, b) for b in range(3))
-        assert np.allclose(total, np.eye(3), atol=1e-13)
-
-    def test_vectors_match_columns(self):
-        rng = np.random.default_rng(25)
-        q = random_basis(rng)
-        u = qutrit_unitary(q)
-        for b in range(3):  # outcome b projects onto column b
-            kept = u * (np.arange(3) == b)
-            assert np.allclose(qutrit_projector(q, b) @ u, kept, atol=1e-13)
-
     def test_angle_count_validation(self):
         with pytest.raises(InvalidInputError):
             QutritBasis((0.0, 1.0, 2.0))
@@ -98,10 +83,6 @@ class TestQutritBasis:
     def test_non_finite_angles_rejected(self, bad):
         with pytest.raises(InvalidInputError, match="finite"):
             QutritBasis((0.0,) * 5 + (bad,))
-
-    def test_outcome_validation(self):
-        with pytest.raises(InvalidInputError):
-            qutrit_projector(QutritBasis((0.0,) * 6), 3)
 
 
 def reference_givens(j, k, theta, phi):

@@ -255,12 +255,14 @@ class TestSweep:
 
 class TestConfigValidation:
     def test_bad_restarts(self):
-        with pytest.raises(InvalidInputError):
-            OptimizerConfig(restarts=0)
+        for bad in (0, 2.5, True):
+            with pytest.raises(InvalidInputError):
+                OptimizerConfig(restarts=bad)
 
     def test_bad_max_iters(self):
-        with pytest.raises(InvalidInputError):
-            OptimizerConfig(max_iters=0)
+        for bad in (0, 2.5, True):
+            with pytest.raises(InvalidInputError):
+                OptimizerConfig(max_iters=bad)
 
     def test_bad_tol(self):
         for bad in (-1e-3, math.nan, math.inf):
@@ -274,6 +276,8 @@ class TestConfigValidation:
             OptimizerConfig(seed=2 ** 64)
         with pytest.raises(InvalidInputError):
             OptimizerConfig(seed=1.5)
+        with pytest.raises(InvalidInputError):
+            OptimizerConfig(seed=True)
 
     def test_bad_grid_value(self):
         with pytest.raises(InvalidInputError):

@@ -3,8 +3,7 @@ import pytest
 
 from nosig.errors import InvalidInputError
 from nosig.qlinalg import (as_complex_matrix, check_density, check_hermitian,
-                           hermitian_eigenvalues, partial_trace,
-                           permute_subsystems)
+                           hermitian_eigenvalues, partial_trace)
 
 
 def random_hermitian(rng, n):
@@ -92,24 +91,8 @@ class TestPartialTrace:
     def test_dim_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
             partial_trace(np.eye(5) / 5, (2, 3), (0,))
-
-
-class TestPermute:
-    def test_swap_against_kron(self):
-        rng = np.random.default_rng(17)
-        a = random_density(rng, 2)
-        b = random_density(rng, 3)
-        swapped = permute_subsystems(np.kron(a, b), (2, 3), (1, 0))
-        assert np.linalg.norm(swapped - np.kron(b, a)) < 1e-13
-
-    def test_identity_permutation(self):
-        rng = np.random.default_rng(18)
-        rho = random_density(rng, 6)
-        assert np.linalg.norm(permute_subsystems(rho, (2, 3), (0, 1)) - rho) == 0
-
-    def test_invalid_permutation(self):
-        with pytest.raises(InvalidInputError):
-            permute_subsystems(np.eye(6) / 6, (2, 3), (0, 0))
+        with pytest.raises(InvalidInputError, match="out of range"):
+            partial_trace(np.eye(6) / 6, (2, 3), (2,))
 
 
 class TestChecks:
@@ -117,6 +100,8 @@ class TestChecks:
         check_hermitian(np.array([[1.0, 1j], [-1j, 0.0]]))
         with pytest.raises(InvalidInputError):
             check_hermitian(np.array([[1.0, 1j], [1j, 0.0]]))
+        with pytest.raises(InvalidInputError, match="not square"):
+            check_hermitian(np.zeros((2, 3)))
 
     def test_check_density_accepts_valid(self):
         rng = np.random.default_rng(19)

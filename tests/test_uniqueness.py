@@ -47,6 +47,9 @@ class TestParamsValidation:
         with pytest.raises(InvalidInputError):
             PurificationParams(c0=0.9, c1=0.0, d0=0.0, d1=1.0,
                                x10=p.x10, x11=p.x11, x20=p.x20, x21=p.x21)
+        with pytest.raises(InvalidInputError, match=r"\(d0, d1\)"):
+            PurificationParams(c0=1.0, c1=0.0, d0=0.0, d1=0.9,
+                               x10=p.x10, x11=p.x11, x20=p.x20, x21=p.x21)
 
     def test_wrong_vector_shape(self):
         p = unique_point_params()
@@ -343,8 +346,12 @@ class TestScan:
             uniqueness_scan(0.7, n_samples=0, n_local_starts=2)
         with pytest.raises(InvalidInputError):
             uniqueness_scan(0.7, n_samples=10, n_local_starts=0)
+        with pytest.raises(InvalidInputError):
+            uniqueness_scan(0.7, n_samples=100.0, n_local_starts=2)
+        with pytest.raises(InvalidInputError):
+            uniqueness_scan(0.7, n_samples=10, n_local_starts=2.0)
 
-    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5])
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, True])
     def test_bad_seed_rejected(self, seed):
         # the same seed rule as OptimizerConfig
         with pytest.raises(InvalidInputError, match="64 unsigned bits"):
