@@ -56,8 +56,10 @@ class OptimizerConfig:
         for name in ("restarts", "max_iters"):
             if not _is_count(getattr(self, name), 1):
                 raise InvalidInputError(f"{name} must be an integer >= 1")
-        if not (0 <= self.tol < math.inf):
-            raise InvalidInputError(f"tol must be in [0, inf), got {self.tol}")
+        t = self.tol
+        if not (isinstance(t, (int, float, np.floating))
+                and not isinstance(t, bool) and 0 <= t < math.inf):
+            raise InvalidInputError(f"tol must be in [0, inf), got {t}")
         _check_seed(self.seed)
         for a in self.alpha_grid:
             _check_alpha(a)

@@ -16,17 +16,10 @@ from . import tolerances as tol
 from .errors import InvalidInputError
 
 
-def as_complex_matrix(m) -> np.ndarray:
-    a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2:
-        raise InvalidInputError(f"expected a 2-d matrix, got ndim={a.ndim}")
-    return a
-
-
 def check_hermitian(m) -> np.ndarray:
     """Validate that m is Hermitian within Frobenius tolerance."""
-    a = as_complex_matrix(m)
-    if a.shape[0] != a.shape[1]:
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidInputError(f"matrix is not square: shape={a.shape}")
     if float(np.linalg.norm(a - a.conj().T)) > tol.HERMITIAN:
         raise InvalidInputError("matrix is not hermitian within tolerance")
@@ -51,7 +44,7 @@ def partial_trace(rho, dims: Sequence[int], keep) -> np.ndarray:
     dims lists the subsystem dimensions whose product must match rho;
     keep is an iterable of subsystem indices to retain.
     """
-    a = as_complex_matrix(rho)
+    a = np.asarray(rho, dtype=np.complex128)
     dims = tuple(int(d) for d in dims)
     total = math.prod(dims)
     if a.shape != (total, total):

@@ -2,25 +2,28 @@
 
 Every purification of the A-B marginal of the state family can be put in
 the form (psi1 E1 + psi2 E2)/sqrt(2) with E1, E2 orthonormal vectors on
-C tensor X built from Schmidt weights (c0, c1), (d0, d1) and four
-auxiliary vectors.  Demanding that the B-C marginal also comes out right
-singles out one point of that chart: c1 = d0 = 0 and x10 = x21 up to a
-phase, i.e. the global state is the pure family state times an ancilla.
-This module scans the chart for counterexamples: parameter points whose
-B-C marginal error (the residual) vanishes while sitting far from that
-unique point.  Finding none is the numerical content of the theorem.
+C tensor X: E1 = c0|0>x10 + c1|1>x11, and E2 is d0|0>x20 + d1|1>x21 made
+orthogonal to E1, for Schmidt weights (c0, c1), (d0, d1) and any four
+unit vectors on X.  With S_ij = Tr_A |psi_i><psi_j| (fixed per alpha) and
+the Gram blocks G_ij = E_i E_j^dagger, the B-C marginal is
+1/2 sum_ij S_ij (x) G_ij.  With D_ij = G_ij - G*_ij against the unique
+point's blocks and s, c = sin, cos(alpha), its squared Frobenius error is
+1/4 [s^4 (|D11|^2 + |D22|^2) + c^4 |D11 + D22|^2 + 4 s^2 c^2 |D12|^2].
+So for 0 < alpha < pi/2 the error is at least each of s^2 |D11| / 2,
+s^2 |D22| / 2 and s c |D12|, and it vanishes only at G = G*: G11 =
+diag(1, 0) and G22 = diag(0, 1) force E1 = |0>x and E2 = |1>y, and
+G12[0, 1] = <y|x> = 1 forces y = x, i.e. the global state is the pure
+family state times an ancilla.  This module scans the chart for
+counterexamples, parameter points whose residual vanishes far from that
+unique point; finding none is the numerical check of the argument.
 
-The chart is written once, batched over rows with the row axis last: the
-E1/E2 blocks and the distance to the unique point each have one
-definition, and the single-point functions use them as batches of one;
+The chart is two Schmidt angles and four vectors, each normalized, and it
+is written once, batched over rows with the row axis last; the
+single-point functions use it as batches of one, and
 residual(alpha, p).distance_to_unique_point is the one per-point distance.
-The scan objective never builds the state.  With S_ij = Tr_A |psi_i><psi_j|
-(fixed per alpha) and the Gram blocks G_ij = E_i E_j^dagger, the B-C
-marginal is 1/2 sum_ij S_ij (x) G_ij, and the target is the same sum at
-the unique point's blocks, so the error is a closed form in the 2x2
-differences G_ij - G*_ij.  residual() traces out A and X of the full
-state with partial_trace, so it stays an independent check of that
-identity.
+The scan objective is the closed form above and never builds the state.
+residual() traces out A and X of the full state with partial_trace, so it
+stays an independent check of that identity.
 """
 
 from __future__ import annotations
@@ -45,7 +48,8 @@ _PENALTY = 10.0
 
 @dataclass(frozen=True)
 class PurificationParams:
-    """Schmidt weights and auxiliary vectors of one purification ansatz."""
+    """Schmidt weights and auxiliary vectors of one purification ansatz;
+    each vector is a unit vector, and no pair need be orthogonal."""
     c0: float
     c1: float
     d0: float
@@ -73,10 +77,6 @@ class PurificationParams:
             if not abs(float(np.vdot(v, v).real) - 1.0) <= tol.UNIT_NORM:
                 raise InvalidInputError(f"{name} is not a finite unit vector")
             object.__setattr__(self, name, v)
-        for left, right in (("x10", "x11"), ("x20", "x21")):
-            ip = np.vdot(getattr(self, left), getattr(self, right))
-            if abs(ip) > tol.UNIT_NORM:
-                raise InvalidInputError(f"<{left}|{right}> must vanish")
 
 
 @dataclass(frozen=True)
@@ -164,6 +164,10 @@ def _e_pair(p: PurificationParams) -> tuple[np.ndarray, np.ndarray]:
     return e1, e2
 
 
+# G*_ij, the Gram blocks of the unique point, each as (2, 2, 1)
+_UNIQUE_GRAMS = _grams(*_e_pair(unique_point_params()))
+
+
 def _purification(alpha: float, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
     """(psi1 E1 + psi2 E2)/sqrt(2) of a batch-of-one E pair, flat order."""
     return (np.outer(psi1(alpha), e1[..., 0].T)
@@ -199,50 +203,31 @@ def _to_chart(p: PurificationParams) -> np.ndarray:
                            np.stack([vecs.real, vecs.imag], axis=-1).ravel()])
 
 
-def _unique_grams():
-    """G*_ij, the Gram blocks of the unique point, each as (2, 2, 1)."""
-    return _grams(*_e_pair(unique_point_params()))
-
-
 def _chart_states(chart: np.ndarray):
     """Batched E blocks of chart rows: (e1, e2, c1, x10, bad), rows last.
 
-    The Schmidt angles give the weights; each vector pair (x10, x11),
-    (x20, x21) is Gram-Schmidt orthonormalized.  Degenerate rows are
-    flagged in bad.
+    The Schmidt angles give the weights and each of the four vectors is
+    normalized.  Rows with a vector shorter than ORTHO_COLLAPSE or a
+    collapsed E2 are flagged in bad.
     """
     r = chart.shape[0]
     ct = np.ascontiguousarray(chart.T)
     t = ct[:2]
     w = np.abs(np.stack([np.cos(t), np.sin(t)], axis=1)).reshape(4, r)
-    raw = ct[2:].reshape(2, 2, _X_DIM, 2, r)     # pair, member, x, re/im
-    vecs = (raw[:, :, :, 0] + 1j * raw[:, :, :, 1]).transpose(2, 0, 1, 3)
-
-    def normalized(v):
-        n = np.sqrt(_xsum(_sq(v)))
-        small = n < tol.ORTHO_COLLAPSE
-        return v / np.where(small, 1.0, n), small[0] | small[1]
-
-    first, bad = normalized(vecs[:, :, 0])
-    second = vecs[:, :, 1] - _xsum(first.conj() * vecs[:, :, 1]) * first
-    second, b = normalized(second)
-    x = np.stack([first, second], axis=2).reshape(_X_DIM, 4, r)
+    raw = ct[2:].reshape(4, _X_DIM, 2, r)        # vector, x, re/im
+    vecs = (raw[:, :, 0] + 1j * raw[:, :, 1]).transpose(1, 0, 2)
+    n = np.sqrt(_xsum(_sq(vecs)))
+    small = n < tol.ORTHO_COLLAPSE
+    x = vecs / np.where(small, 1.0, n)
     e1, e2, collapsed = _e_blocks(w, x)
-    return e1, e2, w[1], x[:, 0], bad | b | collapsed
+    return e1, e2, w[1], x[:, 0], small.any(axis=0) | collapsed
 
 
-def _residual_chart(alpha: float, chart: np.ndarray,
-                    target: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Batched scan objective: Frobenius error of the B-C marginal,
-    penalized when degenerate; target = _unique_grams().
-
-    The marginal is 1/2 sum_ij S_ij (x) G_ij with S_ij = Tr_A |psi_i><psi_j|
-    and the target is the same sum at the unique point's Gram blocks G*, so
-    with D_ij = G_ij - G*_ij and s, c = sin, cos(alpha) the squared error
-    is 1/4 [s^4 (|D11|^2 + |D22|^2) + c^4 |D11 + D22|^2 + 4 s^2 c^2 |D12|^2].
-    """
+def _residual_chart(alpha: float, chart: np.ndarray) -> np.ndarray:
+    """Batched scan objective: the closed-form Frobenius error of the B-C
+    marginal (module docstring), penalized when degenerate."""
     e1, e2, _, _, bad = _chart_states(chart)
-    d11, d22, d12 = (g - g0 for g, g0 in zip(_grams(e1, e2), target))
+    d11, d22, d12 = (g - g0 for g, g0 in zip(_grams(e1, e2), _UNIQUE_GRAMS))
 
     def norm2(d):
         q = _sq(d)
@@ -283,10 +268,9 @@ def uniqueness_scan(alpha: float, n_samples: int = 10000,
     chart[:, 0] = rng.uniform(0.0, math.pi / 2, n_samples)
     chart[:, 1] = rng.uniform(0.0, math.pi / 2, n_samples)
     chart[:, 2:] = rng.standard_normal((n_samples, _CHART_DIM - 2))
-    target = _unique_grams()
 
     def objective(points):
-        return _residual_chart(a, points, target)
+        return _residual_chart(a, points)
 
     res = _in_blocks(objective, chart)
     order = np.argsort(res, kind="stable")[:n_local_starts]

@@ -106,8 +106,8 @@ def test_criterion_6_marginal_feasibility(capsys):
 
 
 SCAN_REPR_SHA256 = {
-    0.5: "4741b69bcd442c870bb8b9d471443c9a804bbeef99cf26dcaa2348ed9e729745",
-    0.85: "9b9a01f78281beb1e8c1718d9b193a497cccaad23016cff91c635c42387ed2af",
+    0.5: "dbdcb46a962486e321e0f5b5eb32791ed1ad1e98d15eb6029b8452f7329f89e9",
+    0.85: "0ddc043d1f9d83981099691631c82d5d72454023c66a936621083561e16cbf1d",
 }
 
 

@@ -432,4 +432,4 @@ class TestGoldenDigests:
         argv = ["uniqueness", "--alpha", "0.8", "--samples", "200",
                 "--starts", "4", "--seed", "5"]
         assert self.digest(capsys, argv) == \
-            "8b8bfc061d6cd26863aa06bce7459ad68b11adf6d68894bcee4df3e305d019cf"
+            "5918478510b30c157bc858bf15debab5d4af2f1e2b3a4ed85878f4b482323578"

@@ -265,7 +265,7 @@ class TestConfigValidation:
                 OptimizerConfig(max_iters=bad)
 
     def test_bad_tol(self):
-        for bad in (-1e-3, math.nan, math.inf):
+        for bad in (-1e-3, math.nan, math.inf, True, "1e-3"):
             with pytest.raises(InvalidInputError):
                 OptimizerConfig(tol=bad)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nosig.errors import InvalidInputError
-from nosig.qlinalg import (as_complex_matrix, check_density, check_hermitian,
+from nosig.qlinalg import (check_density, check_hermitian,
                            hermitian_eigenvalues, partial_trace)
 
 
@@ -91,6 +91,8 @@ class TestPartialTrace:
     def test_dim_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
             partial_trace(np.eye(5) / 5, (2, 3), (0,))
+        with pytest.raises(InvalidInputError):
+            partial_trace(np.zeros(3), (3,), (0,))
         with pytest.raises(InvalidInputError, match="out of range"):
             partial_trace(np.eye(6) / 6, (2, 3), (2,))
 
@@ -100,8 +102,9 @@ class TestChecks:
         check_hermitian(np.array([[1.0, 1j], [-1j, 0.0]]))
         with pytest.raises(InvalidInputError):
             check_hermitian(np.array([[1.0, 1j], [1j, 0.0]]))
-        with pytest.raises(InvalidInputError, match="not square"):
-            check_hermitian(np.zeros((2, 3)))
+        for bad in (np.zeros((2, 3)), np.zeros(3)):
+            with pytest.raises(InvalidInputError, match="not square"):
+                check_hermitian(bad)
 
     def test_check_density_accepts_valid(self):
         rng = np.random.default_rng(19)
@@ -114,7 +117,3 @@ class TestChecks:
     def test_check_density_rejects_negative(self):
         with pytest.raises(InvalidInputError):
             check_density(np.diag([1.5, -0.5]))
-
-    def test_as_complex_matrix_rejects_vector(self):
-        with pytest.raises(InvalidInputError):
-            as_complex_matrix(np.zeros(3))

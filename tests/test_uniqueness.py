@@ -9,27 +9,19 @@ from nosig.qlinalg import partial_trace
 from nosig.optimizer import nelder_mead_batch
 from nosig.states import psi1, psi2, rho_ab_analytic, rho_ac_analytic
 from nosig.tolerances import NEAR_ZERO_RESIDUAL, ORTHO_COLLAPSE
-from nosig.uniqueness import (_PENALTY, PurificationParams,
+from nosig.uniqueness import (_PENALTY, _UNIQUE_GRAMS, PurificationParams,
                               _bc_target, _chart_states, _distance_chart,
-                              _purification, _residual_chart, _to_chart,
-                              _unique_grams,
-                              build_purification, residual,
+                              _e_pair, _grams, _purification, _residual_chart,
+                              _to_chart, build_purification, residual,
                               theorem2_check, unique_point_params,
                               uniqueness_scan)
 
 
-def random_orthonormal_pair(rng):
-    v = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
-    v[0] /= np.linalg.norm(v[0])
-    v[1] -= np.vdot(v[0], v[1]) * v[0]
-    v[1] /= np.linalg.norm(v[1])
-    return v[0], v[1]
-
-
 def random_params(rng):
+    # four independent unit vectors; no pair is made orthogonal
     tc, td = rng.uniform(0, math.pi / 2, 2)
-    x10, x11 = random_orthonormal_pair(rng)
-    x20, x21 = random_orthonormal_pair(rng)
+    v = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    x10, x11, x20, x21 = v / np.linalg.norm(v, axis=1, keepdims=True)
     return PurificationParams(c0=math.cos(tc), c1=math.sin(tc),
                               d0=math.cos(td), d1=math.sin(td),
                               x10=x10, x11=x11, x20=x20, x21=x21)
@@ -81,10 +73,16 @@ class TestParamsValidation:
                                x10=x10, x11=p.x11, x20=p.x20, x21=p.x21)
 
     def test_non_orthogonal_pair(self):
-        p = unique_point_params()
-        with pytest.raises(InvalidInputError):
-            PurificationParams(c0=1.0, c1=0.0, d0=0.0, d1=1.0,
-                               x10=p.x10, x11=p.x10, x20=p.x20, x21=p.x21)
+        # E1 = c0|0>x10 + c1|1>x11 is a unit vector for any unit x10, x11
+        e = np.eye(4, dtype=np.complex128)
+        x = (e[0] + e[1]) / math.sqrt(2.0)
+        p = PurificationParams(c0=0.6, c1=0.8, d0=0.8, d1=0.6,
+                               x10=e[0], x11=x, x20=x, x21=e[2])
+        phi = build_purification(0.7, p)
+        assert np.vdot(phi, phi).real == pytest.approx(1.0, abs=1e-12)
+        rho_ab = partial_trace(np.outer(phi, phi.conj()), (2, 3, 2, 4),
+                               (0, 1))
+        assert np.allclose(rho_ab, rho_ab_analytic(0.7), atol=1e-12)
 
 
 class TestUniquePoint:
@@ -189,11 +187,6 @@ def s_table(alpha, i, j):
     return np.einsum("ab,aB->bB", v[i], v[j].conj())
 
 
-def objective(alpha, chart):
-    """The scan objective, with its target built as uniqueness_scan does."""
-    return _residual_chart(alpha, chart, _unique_grams())
-
-
 def random_chart(rng, rows):
     chart = rng.standard_normal((rows, 34))
     chart[:, :2] = rng.uniform(0.0, math.pi / 2, (rows, 2))
@@ -217,7 +210,7 @@ class TestChartObjective:
             assert np.allclose(s_table(alpha, 1, 0), off.T, atol=1e-16)
 
     def test_target_is_s_tensor_g_at_unique_point(self):
-        g11, g22, g12 = (g[..., 0] for g in _unique_grams())
+        g11, g22, g12 = (g[..., 0] for g in _UNIQUE_GRAMS)
         grams = {(0, 0): g11, (1, 1): g22, (0, 1): g12,
                  (1, 0): g12.conj().T}
         for alpha in np.linspace(0.0, math.pi / 2, 13):
@@ -232,7 +225,7 @@ class TestChartObjective:
         alpha = 0.9
         ps = [unique_point_params()] + [random_params(rng) for _ in range(40)]
         chart = np.array([_to_chart(p) for p in ps])
-        res = objective(alpha, chart)
+        res = _residual_chart(alpha, chart)
         dist = _distance_chart(chart)
         for k, p in enumerate(ps):
             v = residual(alpha, p)
@@ -240,12 +233,44 @@ class TestChartObjective:
             assert dist[k] == pytest.approx(v.distance_to_unique_point,
                                             abs=1e-12)
 
+    def test_residual_bounds_the_gram_differences(self):
+        # residual >= s^2 |D11|/2, s^2 |D22|/2 and s c |D12|, so a zero
+        # residual forces G = G* (module docstring); checked on the
+        # partial_trace oracle
+        rng = np.random.default_rng(78)
+        for alpha in (0.3, math.pi / 4, 1.2):
+            s, c = math.sin(alpha), math.cos(alpha)
+            for _ in range(20):
+                p = random_params(rng)
+                d11, d22, d12 = (np.linalg.norm(g - g0) for g, g0
+                                 in zip(_grams(*_e_pair(p)), _UNIQUE_GRAMS))
+                r = residual(alpha, p).residual
+                assert r >= s * s * d11 / 2
+                assert r >= s * s * d22 / 2
+                assert r >= s * c * d12
+
+    def test_chart_reaches_non_orthogonal_pairs(self):
+        # the chart decodes a non-orthogonal p to its own E pair, so the
+        # scan visits purifications whose G11 is not diagonal
+        rng = np.random.default_rng(77)
+        q = random_params(rng)
+        x11 = (q.x10 + q.x11) / np.linalg.norm(q.x10 + q.x11)
+        p = PurificationParams(c0=math.sqrt(0.5), c1=math.sqrt(0.5),
+                               d0=q.d0, d1=q.d1, x10=q.x10, x11=x11,
+                               x20=q.x20, x21=q.x21)
+        e1, e2, _, _, bad = _chart_states(_to_chart(p)[None])
+        want1, want2 = _e_pair(p)
+        assert not bad[0]
+        assert np.max(np.abs(e1 - want1)) <= 1e-15
+        assert np.max(np.abs(e2 - want2)) <= 1e-15
+        assert abs(_grams(e1, e2)[0][0, 1, 0]) > 0.1
+
     @pytest.mark.parametrize("alpha", [1e-3, math.pi / 2 - 1e-3])
     def test_oracle_near_the_endpoints(self, alpha):
         # one of the weights s^4, c^4 nearly vanishes here
         rng = np.random.default_rng(75)
         ps = [unique_point_params()] + [random_params(rng) for _ in range(20)]
-        res = objective(alpha, np.array([_to_chart(p) for p in ps]))
+        res = _residual_chart(alpha, np.array([_to_chart(p) for p in ps]))
         for k, p in enumerate(ps):
             assert res[k] == pytest.approx(residual(alpha, p).residual,
                                            abs=1e-12)
@@ -262,7 +287,7 @@ class TestChartObjective:
                 chart = _to_chart(p)
                 cols = slice(2 + 8 * vec, 10 + 8 * vec)
                 chart[cols] *= 2.0 * ORTHO_COLLAPSE
-                res = objective(alpha, chart[None])[0]
+                res = _residual_chart(alpha, chart[None])[0]
                 assert res != _PENALTY
                 assert res == pytest.approx(residual(alpha, p).residual,
                                             abs=1e-12)
@@ -276,7 +301,7 @@ class TestChartObjective:
             rho = partial_trace(np.outer(phi, phi.conj()), (2, 3, 2, 4),
                                 (1, 2))
             want = np.linalg.norm(rho - _bc_target(alpha))
-            assert objective(alpha, chart[None])[0] == \
+            assert _residual_chart(alpha, chart[None])[0] == \
                 pytest.approx(want, abs=1e-12)
 
     def test_batch_rows_independent(self):
@@ -286,11 +311,11 @@ class TestChartObjective:
         alpha = 0.8
         chart = random_chart(rng, 1000)
         chart[11, 2:10] = 0.0                     # x10 = 0: degenerate row
-        single = np.array([objective(alpha, chart[k:k + 1])[0]
+        single = np.array([_residual_chart(alpha, chart[k:k + 1])[0]
                            for k in range(len(chart))])
         assert np.flatnonzero(single == _PENALTY).tolist() == [11]
         for rows in (7, 34, 1000):
-            batch = objective(alpha, chart[:rows])
+            batch = _residual_chart(alpha, chart[:rows])
             assert np.array_equal(batch, single[:rows])
 
 
