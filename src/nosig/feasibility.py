@@ -4,6 +4,8 @@ The question is a small linear program: does p(a, b, c) >= 0 exist whose
 pair marginals match the given tables?  A self-contained phase-one
 simplex with Bland's anti-cycling rule answers it deterministically; the
 instances here have at most 64 variables, so a dense tableau is plenty.
+It carries its reduced-cost row, and each constraint matrix is built
+once per shape and set of tables.
 
 The headline instance takes the three z-axis measurements of the
 three-qubit GHZ state, fixes the quantum A-B and B-C tables, and adds
@@ -15,6 +17,8 @@ exists, so a model without local variables signals.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -78,69 +82,81 @@ class MarginalSpec:
 
 @dataclass(frozen=True)
 class FeasibilityResult:
-    """Phase-one outcome: a witness distribution, or the violation floor."""
+    """Phase-one outcome: a witness or the violation floor, and the pivots."""
     feasible: bool
     witness: np.ndarray | None
     residual: float
+    pivots: int
 
 
-def _phase_one_simplex(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
+def _phase_one_simplex(a: np.ndarray,
+                       b: np.ndarray) -> tuple[float, np.ndarray, int]:
     """Minimize the artificial-variable sum for a x = b, x >= 0, b >= 0.
 
     Bland's rule (lowest eligible index enters, lowest-index basic
     variable leaves on ties) guarantees termination without cycling.
-    Returns the optimum and the structural part of the solution.
+    The reduced-cost row is the tableau's last row, eliminated like the
+    others, which never changes rows 0..m-1; the ratio test runs on
+    Python floats.  Returns the optimum, the structural part of the
+    solution and the pivot count.
     """
     m, n = a.shape
-    t = np.hstack([a, np.eye(m), b[:, None]])
-    basis = np.arange(n, n + m)
-    cost = np.concatenate([np.zeros(n), np.ones(m)])
-    while True:
-        reduced = cost.copy()
-        for row in t[basis >= n, :-1]:
-            reduced -= row
-        eligible = np.flatnonzero(reduced < -1e-12)
-        if eligible.size == 0:
+    t = np.zeros((m + 1, n + m + 1))
+    t[:m, :n], t[:m, n:-1], t[:m, -1] = a, np.eye(m), b
+    # cost (0 structural, 1 artificial) minus every row; a is 0/1, so exact
+    t[m, :n], t[m, -1] = -a.sum(axis=0), -b.sum()
+    basis = list(range(n, n + m))
+    for pivots in itertools.count():
+        below = t[m, :-1] < -1e-12
+        entering = int(below.argmax())
+        if not below[entering]:
             break
-        entering = eligible[0]
-        rows = np.flatnonzero(t[:, entering] > 1e-12)
-        if rows.size == 0:
+        # row m is below -1e-12 here, so it never enters the ratio test
+        column, rhs = t[:, entering].tolist(), t[:, -1].tolist()
+        ratios = [(rhs[i] / v, basis[i], i) for i, v in enumerate(column)
+                  if v > 1e-12]
+        if not ratios:
             raise RuntimeError("phase-one column unbounded; inconsistent tableau")
-        ratios = t[rows, -1] / t[rows, entering]
-        candidates = rows[ratios <= ratios.min()]
-        leaving = candidates[np.argmin(basis[candidates])]
+        leaving = min(ratios)[2]
         t[leaving] /= t[leaving, entering]
         # Rows with a zero in the entering column are left untouched, so
         # the update matches row-by-row elimination down to signed zeros.
-        others = np.flatnonzero(t[:, entering] != 0.0)
-        others = others[others != leaving]
+        others = [i for i, v in enumerate(column) if v != 0.0 and i != leaving]
         t[others] -= t[others, entering, None] * t[leaving]
         basis[leaving] = entering
-    optimum = sum(t[basis >= n, -1])
+    basis = np.array(basis)
     x = np.zeros(n + m)
-    x[basis] = t[:, -1]
-    return float(optimum), x[:n]
+    x[basis] = t[:m, -1]
+    return float(sum(t[:m, -1][basis >= n])), x[:n], pivots
 
 
-def _marginal_rows(spec: MarginalSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Equality constraints A x = b on the C-order flattened joint x.
+@functools.cache
+def _constraint_matrix(shape: tuple, names: tuple) -> np.ndarray:
+    """Read-only rows of the named pair tables, built once per argument.
 
     A pair table fixes the joint summed over the third party, so its rows
     are the identity on the two kept parties broadcast along the summed
     one: the Kronecker product of identities with a row of ones, built by
     broadcasting because np.kron is several times slower at these sizes.
     """
-    shape = (spec.n_a, spec.n_b, spec.n_c)
-    rows, rhs = [np.zeros((0, math.prod(shape)))], [np.zeros(0)]
+    rows = [np.zeros((0, math.prod(shape)))]
     for name, summed in _PAIRS:
-        table = getattr(spec, name)
-        if table is not None:
-            kept = table.shape[:summed] + (1,) + table.shape[summed:]
-            eye = np.eye(table.size).reshape(table.size, *kept)
-            rows.append(np.broadcast_to(eye, (table.size, *shape))
-                        .reshape(table.size, -1))
-            rhs.append(table.ravel())
-    return np.vstack(rows), np.concatenate(rhs)
+        if name in names:
+            kept = shape[:summed] + (1,) + shape[summed + 1:]
+            eye = np.eye(math.prod(kept)).reshape(-1, *kept)
+            rows.append(np.broadcast_to(eye, (len(eye), *shape))
+                        .reshape(len(eye), -1))
+    a = np.vstack(rows)
+    a.flags.writeable = False
+    return a
+
+
+def _marginal_rows(spec: MarginalSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Equality constraints A x = b on the C-order flattened joint x."""
+    names = tuple(n for n, _ in _PAIRS if getattr(spec, n) is not None)
+    return (_constraint_matrix((spec.n_a, spec.n_b, spec.n_c), names),
+            np.concatenate([np.zeros(0)]
+                           + [getattr(spec, name).ravel() for name in names]))
 
 
 def joint_feasible(spec: MarginalSpec) -> FeasibilityResult:
@@ -148,13 +164,11 @@ def joint_feasible(spec: MarginalSpec) -> FeasibilityResult:
     a, b = _marginal_rows(spec)
     shape = (spec.n_a, spec.n_b, spec.n_c)
     if b.size == 0:
-        uniform = np.full(shape, 1.0 / a.shape[1])
-        return FeasibilityResult(feasible=True, witness=uniform, residual=0.0)
-    optimum, x = _phase_one_simplex(a, b)
-    if optimum <= tol.LP_FEASIBLE:
-        return FeasibilityResult(feasible=True, witness=x.reshape(shape),
-                                 residual=optimum)
-    return FeasibilityResult(feasible=False, witness=None, residual=optimum)
+        return FeasibilityResult(True, np.full(shape, 1 / a.shape[1]), 0.0, 0)
+    optimum, x, pivots = _phase_one_simplex(a, b)
+    feasible = optimum <= tol.LP_FEASIBLE
+    return FeasibilityResult(feasible, x.reshape(shape) if feasible else None,
+                             optimum, pivots)
 
 
 @dataclass(frozen=True)

@@ -281,7 +281,8 @@ class TestGhzCheckCommand:
             return feasibility.Theorem1Report(
                 independence=independence,
                 result=feasibility.FeasibilityResult(
-                    feasible=independence, witness=None, residual=0.5))
+                    feasible=independence, witness=None, residual=0.5,
+                    pivots=0))
 
         monkeypatch.setattr(cli, "theorem1_check", flipped)
         assert main(["ghz-check"] + flags) == 1

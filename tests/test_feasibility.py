@@ -5,9 +5,12 @@ import time
 import numpy as np
 import pytest
 
+from nosig.correlations import born_joint3
 from nosig.errors import InvalidInputError
-from nosig.feasibility import (FeasibilityResult, MarginalSpec,
-                               _marginal_rows, joint_feasible, theorem1_check)
+from nosig.feasibility import (_Z_PROJECTORS, FeasibilityResult,
+                               MarginalSpec, _marginal_rows,
+                               _phase_one_simplex, joint_feasible,
+                               theorem1_check)
 
 GHZ_DIAG = np.diag([0.5, 0.5])
 # SHA-256 of the LP outputs in TestOutputDigest, measured with the
@@ -122,12 +125,116 @@ class TestMarginalRows:
             assert np.array_equal(b, want_b)
 
 
+def reference_phase_one(a, b):
+    # The phase-one loop that rebuilt the reduced costs from the basic
+    # artificial rows on every pivot and ran the ratio test in numpy;
+    # returns the optimum, the witness and the pivot count.
+    m, n = a.shape
+    t = np.hstack([a, np.eye(m), b[:, None]])
+    basis = np.arange(n, n + m)
+    cost = np.concatenate([np.zeros(n), np.ones(m)])
+    pivots = 0
+    while True:
+        reduced = cost.copy()
+        for row in t[basis >= n, :-1]:
+            reduced -= row
+        eligible = np.flatnonzero(reduced < -1e-12)
+        if eligible.size == 0:
+            break
+        entering = eligible[0]
+        rows = np.flatnonzero(t[:, entering] > 1e-12)
+        ratios = t[rows, -1] / t[rows, entering]
+        candidates = rows[ratios <= ratios.min()]
+        leaving = candidates[np.argmin(basis[candidates])]
+        t[leaving] /= t[leaving, entering]
+        others = np.flatnonzero(t[:, entering] != 0.0)
+        others = others[others != leaving]
+        t[others] -= t[others, entering, None] * t[leaving]
+        basis[leaving] = entering
+        pivots += 1
+    optimum = sum(t[basis >= n, -1])
+    x = np.zeros(n + m)
+    x[basis] = t[:, -1]
+    return float(optimum), x[:n], pivots
+
+
+def ghz_family_spec(t, phi, independence):
+    # the spec theorem1_check builds for cos t|000> + e^{i phi} sin t|111>
+    state = np.zeros(8, dtype=np.complex128)
+    state[0], state[7] = math.cos(t), np.exp(1j * phi) * math.sin(t)
+    joint = born_joint3(state, (2, 2, 2), (_Z_PROJECTORS,) * 3)
+    ab, bc = joint.sum(axis=2), joint.sum(axis=0)
+    ac = np.outer(ab.sum(axis=1), bc.sum(axis=0)) if independence else None
+    return state, MarginalSpec(2, 2, 2, ab, bc, ac)
+
+
+class TestReferenceSimplex:
+    def specs(self):
+        # Dirichlet(1) joints and sparse Dirichlet(0.3) joints with the
+        # entries below 0.05 set to zero (ratio ties, degenerate pivots),
+        # under their own and the product A-C table, and with one or two
+        # of the three tables
+        rng = np.random.default_rng(2016)
+        for shape in ((2, 2, 2), (2, 3, 2), (3, 2, 4), (4, 4, 4)):
+            for k in range(30):
+                joint = rng.dirichlet(np.full(math.prod(shape),
+                                              0.3 if k % 2 else 1.0))
+                if k % 2:
+                    joint[joint < 0.05] = 0.0
+                    joint /= joint.sum()
+                ab, bc, ac = tables_of(joint.reshape(shape))
+                product = np.outer(ab.sum(axis=1), bc.sum(axis=0))
+                for kwargs in (dict(ab=ab, bc=bc, ac=ac),
+                               dict(ab=ab, bc=bc, ac=product),
+                               dict(ab=ab, ac=ac), dict(bc=bc)):
+                    yield MarginalSpec(*shape, **kwargs)
+
+    def test_same_pivots_and_bits_as_the_reference(self):
+        count, verdicts = 0, set()
+        for spec in self.specs():
+            a, b = _marginal_rows(spec)
+            want = reference_phase_one(a, b)
+            got = _phase_one_simplex(a, b)
+            assert got[0].hex() == want[0].hex()
+            assert got[1].tobytes() == want[1].tobytes()
+            assert got[2] == want[2]
+            count += 1
+            verdicts.add(want[0] <= 1e-9)
+        assert count == 480
+        assert verdicts == {True, False}
+
+    def test_ghz_family_matches_the_reference(self):
+        rng = np.random.default_rng(2004)
+        for _ in range(30):
+            t = rng.uniform(0.2, math.pi / 2 - 0.2)
+            phi = rng.uniform(0.0, 2.0 * math.pi)
+            for independence in (True, False):
+                state, spec = ghz_family_spec(t, phi, independence)
+                a, b = _marginal_rows(spec)
+                optimum, x, pivots = reference_phase_one(a, b)
+                res = theorem1_check(state, independence).result
+                assert res.residual.hex() == optimum.hex()
+                assert res.pivots == pivots
+                if res.feasible:
+                    assert res.witness.tobytes() == x.tobytes()
+
+    def test_constraint_matrix_is_shared_and_read_only(self):
+        rng = np.random.default_rng(65)
+        specs = [MarginalSpec(2, 3, 2, *tables_of(random_joint(rng, (2, 3, 2))))
+                 for _ in range(2)]
+        (a1, b1), (a2, b2) = (_marginal_rows(spec) for spec in specs)
+        assert a1 is a2
+        assert not a1.flags.writeable
+        assert not np.array_equal(b1, b2)
+
+
 class TestJointFeasible:
     def test_no_tables_gives_uniform(self):
         res = joint_feasible(MarginalSpec(n_a=2, n_b=3, n_c=2))
         assert res.feasible
         assert np.allclose(res.witness, 1.0 / 12)
         assert res.residual == 0.0
+        assert res.pivots == 0
 
     def test_realizable_tables_are_feasible(self):
         rng = np.random.default_rng(61)
@@ -243,10 +350,12 @@ class TestTheorem1:
         assert not rep.result.feasible
         assert rep.contradiction
         assert rep.result.residual == pytest.approx(1.5, abs=1e-9)
+        assert rep.result.pivots == 6
 
     def test_without_independence_unique_witness(self):
         rep = theorem1_check(independence=False)
         assert not rep.contradiction
+        assert rep.result.pivots == 6
         w = rep.result.witness
         expected = np.zeros((2, 2, 2))
         expected[0, 0, 0] = expected[1, 1, 1] = 0.5
