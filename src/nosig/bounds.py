@@ -6,6 +6,11 @@ measurement triple fixed, the joint term h can only range over
 the signed four-measurement combination bounds the CHSH value of every
 completion.  A family whose lower bound exceeds 2 (or upper bound falls
 below -2) would force a CHSH violation on any no-signaling completion.
+None does: with one shared B basis, h_b = a_b c_b / f_b (0 where f_b =
+0) is the product of the quantum conditionals given b, so it lies in
+every window, and as one joint over all four settings its CHSH value is
+at most 2 in size.  So L <= 2 and U >= -2 for every family; the sweep
+measures the margin 2 - L_bar, whose sign is not in doubt.
 
 One batched kernel gives the per-outcome h ranges of the four
 measurement pairs, outcome-major with the row axis last, so a sum over

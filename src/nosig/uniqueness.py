@@ -13,13 +13,21 @@ So for 0 < alpha < pi/2 the error is at least each of s^2 |D11| / 2,
 s^2 |D22| / 2 and s c |D12|, and it vanishes only at G = G*: G11 =
 diag(1, 0) and G22 = diag(0, 1) force E1 = |0>x and E2 = |1>y, and
 G12[0, 1] = <y|x> = 1 forces y = x, i.e. the global state is the pure
-family state times an ancilla.  This module scans the chart for
-counterexamples, parameter points whose residual vanishes far from that
-unique point; finding none is the numerical check of the argument.
+family state times an ancilla.  As c1^2 = D11[1, 1], the effective
+d0^2 = D22[0, 0] and 1 - |<x10|x21>| <= |D12|, residual r puts the
+distance to the unique point at most max(sqrt(2r)/s, r/(s c)), so r <
+NEAR_ZERO_RESIDUAL implies a distance below UNIQUE_DISTANCE whenever
+1e-10 <= cos^2(alpha) <= 0.98.  The scan looks for chart points whose
+residual vanishes far from there; finding none checks the argument.
 
-The chart is two Schmidt angles and four vectors, each normalized, and it
-is written once, batched over rows with the row axis last; the
-single-point functions use it as batches of one, and
+The residual and the distance see the four vectors only through their
+inner products, so the chart quotients out the unitaries on X exactly:
+its frame is the R of a QR of [x10 x11 x20 x21] with a real nonnegative
+diagonal, x10 = e0, x11 in span(e0, e1), x20 in span(e0, e1, e2), x21
+anywhere.  A row is the two Schmidt angles, then re/im of those entries,
+the last of each vector re only: 3 + 5 + 7 coordinates, each vector
+normalized on decode.  It is written once, batched over rows with the
+row axis last; the single-point functions use it as batches of one, and
 residual(alpha, p).distance_to_unique_point is the one per-point distance.
 The scan objective is the closed form above and never builds the state.
 residual() traces out A and X of the full state with partial_trace, so it
@@ -42,7 +50,8 @@ from .qlinalg import partial_trace
 from .states import _check_alpha, psi1, psi2, rho_ab_analytic, rho_ac_analytic
 
 _X_DIM = 4
-_CHART_DIM = 2 + 4 * 2 * _X_DIM  # two Schmidt angles + four complex 4-vectors
+_CHART_DIM = 2 + 3 + 5 + 7  # two Schmidt angles + the frame of x11, x20, x21
+_FRAME = np.r_[8:11, 16:21, 24:31]  # their slots in (vector, x, re/im) order
 _PENALTY = 10.0
 
 
@@ -197,24 +206,30 @@ def residual(alpha: float, p: PurificationParams) -> UniquenessVerdict:
 
 
 def _to_chart(p: PurificationParams) -> np.ndarray:
-    """The scan-chart row of p: Schmidt angles, then re/im of x10..x21."""
-    vecs = np.array([p.x10, p.x11, p.x20, p.x21])
+    """The scan-chart row of p: Schmidt angles, then the frame of the
+    vectors, the R of their QR (Householder, so R's diagonal is real; a
+    row with a negative one is negated).  Dependent vectors are fine."""
+    _, r = np.linalg.qr(np.array([p.x10, p.x11, p.x20, p.x21]).T)
+    r = (r * np.where(np.diag(r).real < 0, -1.0, 1.0)[:, None]).T
+    frame = np.stack([r.real, r.imag], axis=-1).ravel()
     return np.concatenate([[math.atan2(p.c1, p.c0), math.atan2(p.d1, p.d0)],
-                           np.stack([vecs.real, vecs.imag], axis=-1).ravel()])
+                           frame[_FRAME]])
 
 
 def _chart_states(chart: np.ndarray):
     """Batched E blocks of chart rows: (e1, e2, c1, x10, bad), rows last.
 
-    The Schmidt angles give the weights and each of the four vectors is
-    normalized.  Rows with a vector shorter than ORTHO_COLLAPSE or a
-    collapsed E2 are flagged in bad.
+    The Schmidt angles give the weights, the frame fills x11, x20 and x21
+    around x10 = e0, and each vector is normalized.  Rows with a vector
+    shorter than ORTHO_COLLAPSE or a collapsed E2 are flagged in bad.
     """
     r = chart.shape[0]
     ct = np.ascontiguousarray(chart.T)
     t = ct[:2]
     w = np.abs(np.stack([np.cos(t), np.sin(t)], axis=1)).reshape(4, r)
-    raw = ct[2:].reshape(4, _X_DIM, 2, r)        # vector, x, re/im
+    raw = np.zeros((4 * _X_DIM * 2, r))
+    raw[0], raw[_FRAME] = 1.0, ct[2:]             # x10 = e0, then the frame
+    raw = raw.reshape(4, _X_DIM, 2, r)            # vector, x, re/im
     vecs = (raw[:, :, 0] + 1j * raw[:, :, 1]).transpose(1, 0, 2)
     n = np.sqrt(_xsum(_sq(vecs)))
     small = n < tol.ORTHO_COLLAPSE
@@ -265,8 +280,7 @@ def uniqueness_scan(alpha: float, n_samples: int = 10000,
         raise InvalidInputError("need 1 <= n_local_starts <= n_samples")
     rng = _stream(_check_seed(seed), _SCAN)
     chart = np.empty((n_samples, _CHART_DIM))
-    chart[:, 0] = rng.uniform(0.0, math.pi / 2, n_samples)
-    chart[:, 1] = rng.uniform(0.0, math.pi / 2, n_samples)
+    chart[:, :2] = rng.uniform(0.0, math.pi / 2, (2, n_samples)).T
     chart[:, 2:] = rng.standard_normal((n_samples, _CHART_DIM - 2))
 
     def objective(points):

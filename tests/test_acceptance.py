@@ -106,8 +106,8 @@ def test_criterion_6_marginal_feasibility(capsys):
 
 
 SCAN_REPR_SHA256 = {
-    0.5: "dbdcb46a962486e321e0f5b5eb32791ed1ad1e98d15eb6029b8452f7329f89e9",
-    0.85: "0ddc043d1f9d83981099691631c82d5d72454023c66a936621083561e16cbf1d",
+    0.5: "5fee99026325396d20402c0e8b86d6eb25740bed2f246717f63f6850fd6bf0ec",
+    0.85: "c5324f95c16e1b743ecbf14baf80e45c6c073898e24b582372a61f22e102f375",
 }
 
 
@@ -119,6 +119,10 @@ def test_criterion_7_uniqueness_scan(cos2):
     assert rep.max_distance_near_zero < 1e-3, \
         f"counterexample candidate at distance {rep.max_distance_near_zero}"
     assert rep.confirmed
+    # the random starts reach the unique point, and the nearest other end
+    # value is far above NEAR_ZERO_RESIDUAL
+    assert rep.near_zero_count >= 90
+    assert rep.next_residual >= 1e-6
     assert hashlib.sha256(repr(rep).encode()).hexdigest() == \
         SCAN_REPR_SHA256[cos2]
     _report(7, f"uniqueness scan at cos^2 = {cos2}")

@@ -209,6 +209,32 @@ class TestBatchedPath:
             assert lo[0] == pytest.approx(want_lo, abs=1e-12)
             assert up[0] == pytest.approx(want_up, abs=1e-12)
 
+    def test_product_completion_in_every_window(self):
+        # criterion 3 as a theorem (bounds docstring): with one shared B
+        # basis, h_b = a_b c_b / f_b from the Born-rule conditionals lies
+        # in each outcome's window, so L <= CHSH_prod <= U, and as one
+        # joint over all four settings |CHSH_prod| <= 2
+        rng = np.random.default_rng(54)
+        for alpha in (0.0, 0.2, 0.6, math.pi / 4, 1.0, 1.3, math.pi / 2):
+            for _ in range(40):
+                p = rng.uniform(0, 2 * math.pi, 14)
+                fam = SettingsFamily.from_params(p)
+                e = {}
+                for x, a in enumerate((fam.a1, fam.a2)):
+                    for z, c in enumerate((fam.c1, fam.c2)):
+                        d = decompose(quantum_joint(alpha, a, fam.b, c))
+                        live = d.f > 0.0
+                        h = np.where(live, d.a * d.c
+                                     / np.where(live, d.f, 1.0), 0.0)
+                        lo, up = h_bounds(d.f, d.a, d.c)
+                        assert np.all(lo - 1e-12 <= h)
+                        assert np.all(h <= up + 1e-12)
+                        e[x, z] = np.sum(h)
+                chsh = e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1]
+                lower, upper = family_chsh_bounds(alpha, p)
+                assert lower[0] - 1e-12 <= chsh <= upper[0] + 1e-12
+                assert abs(chsh) <= 2.0 + 1e-12
+
     def test_antipodal_c_flips_window(self):
         # C -> -C swaps a + c and a - c, so the window maps to its negative
         rng = np.random.default_rng(53)

@@ -433,4 +433,4 @@ class TestGoldenDigests:
         argv = ["uniqueness", "--alpha", "0.8", "--samples", "200",
                 "--starts", "4", "--seed", "5"]
         assert self.digest(capsys, argv) == \
-            "5918478510b30c157bc858bf15debab5d4af2f1e2b3a4ed85878f4b482323578"
+            "e4f7401dc6ec1bcf7612d1330eec01923e8ed454d119335a410888591ce59b6c"

@@ -8,7 +8,8 @@ from nosig.errors import (DegenerateInputError, InvalidInputError)
 from nosig.qlinalg import partial_trace
 from nosig.optimizer import nelder_mead_batch
 from nosig.states import psi1, psi2, rho_ab_analytic, rho_ac_analytic
-from nosig.tolerances import NEAR_ZERO_RESIDUAL, ORTHO_COLLAPSE
+from nosig.tolerances import (NEAR_ZERO_RESIDUAL, ORTHO_COLLAPSE,
+                              UNIQUE_DISTANCE)
 from nosig.uniqueness import (_PENALTY, _UNIQUE_GRAMS, PurificationParams,
                               _bc_target, _chart_states, _distance_chart,
                               _e_pair, _grams, _purification, _residual_chart,
@@ -188,9 +189,31 @@ def s_table(alpha, i, j):
 
 
 def random_chart(rng, rows):
-    chart = rng.standard_normal((rows, 34))
+    chart = rng.standard_normal((rows, 17))
     chart[:, :2] = rng.uniform(0.0, math.pi / 2, (rows, 2))
     return chart
+
+
+def frame_params(row):
+    """The PurificationParams of a frame row, filled entry by entry: x10 =
+    e0, then re/im pairs of x11, x20 and x21, the last entry of each real."""
+    r = row
+    vecs = [np.array(v, dtype=np.complex128) for v in (
+        [1.0, 0.0, 0.0, 0.0],
+        [r[2] + 1j * r[3], r[4], 0.0, 0.0],
+        [r[5] + 1j * r[6], r[7] + 1j * r[8], r[9], 0.0],
+        [r[10] + 1j * r[11], r[12] + 1j * r[13], r[14] + 1j * r[15], r[16]])]
+    x10, x11, x20, x21 = (v / np.linalg.norm(v) for v in vecs)
+    return PurificationParams(
+        c0=abs(math.cos(r[0])), c1=abs(math.sin(r[0])),
+        d0=abs(math.cos(r[1])), d1=abs(math.sin(r[1])),
+        x10=x10, x11=x11, x20=x20, x21=x21)
+
+
+def distance_bound(alpha, r):
+    """max(sqrt(2r)/s, r/(s c)), the module docstring's distance bound."""
+    s, c = math.sin(alpha), math.cos(alpha)
+    return np.maximum(np.sqrt(2.0 * r) / s, r / (s * c))
 
 
 class TestChartObjective:
@@ -250,8 +273,10 @@ class TestChartObjective:
                 assert r >= s * c * d12
 
     def test_chart_reaches_non_orthogonal_pairs(self):
-        # the chart decodes a non-orthogonal p to its own E pair, so the
-        # scan visits purifications whose G11 is not diagonal
+        # the chart decodes a non-orthogonal p to an E pair with p's Gram
+        # blocks, so the scan visits purifications whose G11 is not
+        # diagonal; the frame fixes the X gauge, so the E vectors
+        # themselves are p's up to a unitary on X
         rng = np.random.default_rng(77)
         q = random_params(rng)
         x11 = (q.x10 + q.x11) / np.linalg.norm(q.x10 + q.x11)
@@ -259,11 +284,77 @@ class TestChartObjective:
                                d0=q.d0, d1=q.d1, x10=q.x10, x11=x11,
                                x20=q.x20, x21=q.x21)
         e1, e2, _, _, bad = _chart_states(_to_chart(p)[None])
-        want1, want2 = _e_pair(p)
         assert not bad[0]
-        assert np.max(np.abs(e1 - want1)) <= 1e-15
-        assert np.max(np.abs(e2 - want2)) <= 1e-15
-        assert abs(_grams(e1, e2)[0][0, 1, 0]) > 0.1
+        got = _grams(e1, e2)
+        for g, want in zip(got, _grams(*_e_pair(p))):
+            assert np.max(np.abs(g - want)) <= 1e-15
+        assert abs(got[0][0, 1, 0]) > 0.1
+
+    def test_unique_point_frame_row(self):
+        # x10 = e0 is implicit; x11 = x20 = e1 and x21 = e0
+        want = [0.0, math.pi / 2, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0]
+        assert _to_chart(unique_point_params()).tolist() == want
+
+    def test_frame_round_trip(self):
+        # any params, dependent vectors included, decode to their own
+        # Gram blocks and residual; the rows without an equal pair are
+        # random_params themselves
+        rng = np.random.default_rng(80)
+        alpha = 0.7
+        for k in range(200):
+            p = random_params(rng)
+            x = [p.x10, p.x11, p.x20, p.x21]
+            w = {"c0": p.c0, "c1": p.c1, "d0": p.d0, "d1": p.d1}
+            if k % 4 == 1:
+                x[1] = x[0]                       # x11 = x10
+            elif k % 4 == 2:
+                x[3] = x[2]                       # x21 = x20
+            elif k % 4 == 3:
+                x = [x[0]] * 4                    # all four equal
+                # E2 is then (d0, d1) (x) x10 against (c0, c1) (x) x10, and
+                # orthogonalizing it scales rounding by 1/|sin(tc - td)|;
+                # keep that factor below 1.5
+                tc = rng.uniform(0.0, math.pi / 8)
+                td = rng.uniform(3 * math.pi / 8, math.pi / 2)
+                w = {"c0": math.cos(tc), "c1": math.sin(tc),
+                     "d0": math.cos(td), "d1": math.sin(td)}
+            p = PurificationParams(**w, x10=x[0], x11=x[1], x20=x[2],
+                                   x21=x[3])
+            chart = _to_chart(p)[None]
+            assert np.all(chart[0, [4, 9, 16]] >= 0.0)   # R's diagonal
+            e1, e2, _, _, bad = _chart_states(chart)
+            assert not bad[0]
+            for g, want in zip(_grams(e1, e2), _grams(*_e_pair(p))):
+                assert np.max(np.abs(g - want)) <= 1e-15
+            assert _residual_chart(alpha, chart)[0] == \
+                pytest.approx(residual(alpha, p).residual, abs=1e-12)
+
+    @pytest.mark.parametrize("cos2", [0.05, 0.5, 0.85, 0.99])
+    def test_distance_bound(self, cos2):
+        # distance <= max(sqrt(2r)/s, r/(s c)) (module docstring) on frame
+        # rows 1e-6 to 1 from the unique row; every 200th row is checked
+        # against the partial_trace oracle, the rest through the chart
+        # objective pinned to it
+        alpha = math.acos(math.sqrt(cos2))
+        rng = np.random.default_rng(79)
+        step = rng.standard_normal((14000, 17))
+        step *= np.logspace(-6.0, 0.0, len(step))[:, None] \
+            / np.linalg.norm(step, axis=1, keepdims=True)
+        rows = _to_chart(unique_point_params()) + step
+        r = _residual_chart(alpha, rows)
+        dist = _distance_chart(rows)
+        assert np.all(r != _PENALTY)
+        assert np.all(dist <= distance_bound(alpha, r))
+        for k in range(0, len(rows), 200):
+            v = residual(alpha, frame_params(rows[k]))
+            assert v.residual == pytest.approx(r[k], abs=1e-12)
+            assert v.distance_to_unique_point == \
+                pytest.approx(dist[k], abs=1e-12)
+            assert v.distance_to_unique_point <= \
+                distance_bound(alpha, v.residual)
+        # r < NEAR_ZERO_RESIDUAL forces the verdict up to cos^2 = 0.98
+        assert (distance_bound(alpha, NEAR_ZERO_RESIDUAL)
+                <= UNIQUE_DISTANCE) == (cos2 <= 0.98)
 
     @pytest.mark.parametrize("alpha", [1e-3, math.pi / 2 - 1e-3])
     def test_oracle_near_the_endpoints(self, alpha):
@@ -283,9 +374,8 @@ class TestChartObjective:
         alpha = 0.6
         for _ in range(5):
             p = random_params(rng)
-            for vec in range(4):
-                chart = _to_chart(p)
-                cols = slice(2 + 8 * vec, 10 + 8 * vec)
+            for cols in (slice(2, 5), slice(5, 10), slice(10, 17)):
+                chart = _to_chart(p)        # x11, x20 and x21 in turn
                 chart[cols] *= 2.0 * ORTHO_COLLAPSE
                 res = _residual_chart(alpha, chart[None])[0]
                 assert res != _PENALTY
@@ -294,7 +384,8 @@ class TestChartObjective:
         for eps in (3e-8, 1e-7, 1e-6):
             chart = _to_chart(random_params(rng))
             chart[1] = chart[0] + eps      # the D weights ~ the E1 weights
-            chart[18:34] = chart[2:18]     # (x20, x21) = (x10, x11)
+            chart[5:10] = [1.0, 0.0, 0.0, 0.0, 0.0]        # x20 = x10
+            chart[10:17] = np.append(chart[2:5], np.zeros(4))  # x21 = x11
             e1, e2, _, _, bad = _chart_states(chart[None])
             assert not bad[0]
             phi = _purification(alpha, e1, e2)
@@ -310,7 +401,7 @@ class TestChartObjective:
         rng = np.random.default_rng(74)
         alpha = 0.8
         chart = random_chart(rng, 1000)
-        chart[11, 2:10] = 0.0                     # x10 = 0: degenerate row
+        chart[11, 2:5] = 0.0                      # x11 = 0: degenerate row
         single = np.array([_residual_chart(alpha, chart[k:k + 1])[0]
                            for k in range(len(chart))])
         assert np.flatnonzero(single == _PENALTY).tolist() == [11]
@@ -340,12 +431,35 @@ class TestScan:
             return out
 
         monkeypatch.setattr(uniqueness, "nelder_mead_batch", recording)
-        rep = uniqueness_scan(0.7, n_samples=200, n_local_starts=6, seed=3)
+        # a shape whose end rows include capped and far ones (at seed 3
+        # with 6 starts every start reaches the near-zero set)
+        rep = uniqueness_scan(0.7, n_samples=200, n_local_starts=8, seed=4)
         (_, vals, iters), max_iters = rounds[-1]
         assert len(rounds) == 3
-        assert rep.n_capped == np.count_nonzero(iters >= max_iters)
+        assert rep.n_capped == np.count_nonzero(iters >= max_iters) > 0
         far = vals[vals >= NEAR_ZERO_RESIDUAL]
         assert far.size and rep.next_residual == far.min()
+
+    @pytest.mark.parametrize("cos2", [0.05, 0.5, 0.85, 0.99])
+    def test_near_zero_end_rows_obey_the_distance_bound(self, cos2,
+                                                        monkeypatch):
+        # 1 - |<x10|x21>| is rounded near 1, so the distance carries about
+        # 1e-16 even where the residual is 1e-33; allow 1e-15 for that
+        ends = []
+
+        def recording(objective, x0, **kwargs):
+            ends.append(nelder_mead_batch(objective, x0, **kwargs))
+            return ends[-1]
+
+        monkeypatch.setattr(uniqueness, "nelder_mead_batch", recording)
+        alpha = math.acos(math.sqrt(cos2))
+        rep = uniqueness_scan(alpha, n_samples=300, n_local_starts=8, seed=0)
+        x, vals, _ = ends[-1]
+        near = vals < NEAR_ZERO_RESIDUAL
+        assert np.count_nonzero(near) == rep.near_zero_count > 1
+        dist = _distance_chart(x[near])
+        assert np.max(dist) == rep.max_distance_near_zero
+        assert np.all(dist <= distance_bound(alpha, vals[near]) + 1e-15)
 
     def test_next_residual_without_far_minima(self, monkeypatch):
         def at_zero(objective, x0, **kwargs):
