@@ -20,6 +20,24 @@ batch of one and the only per-pair report.  Both share the closed form
 correlations.outcome_terms, so the independent check is the Born rule:
 the test suite rebuilds every per-outcome window from
 decompose(quantum_joint(...)) and pins the kernel to it at 1e-12.
+
+For a fixed B basis the best qubit settings have a closed form.  The
+bias of setting n at outcome b is g_b . n, with sum_b f_b = 1 and
+sum_b g_b = 0, so sum_b |g_b . n| is the largest v . n over v in
+{0, +-2 g_b}, and
+
+    chsh_lower + 4 = max over v11, v12, v21, v22 of
+        |v11+v12| + |v21+v22| + |v11+v21| + |v12-v22|,
+
+reached with a1, a2, c1, c2 along those four sums (any axis where a sum
+is 0).  The right side is convex in each v and 0 is the midpoint of
++-2 g_b, so the maximum never needs 0.  It is even under v -> -v and
+keeps its value under the relabelings (v21, v22, v11, v12) and
+(v12, v11, -v22, -v21), whose v11 and v22 have the signs of v21, v12
+and of v12, -v21; one of them makes the two signs equal, v -> -v makes
+both positive, so v11 and v22 can be taken in {2 g_0, 2 g_1, 2 g_2}.  _optimal_columns
+rebuilds those settings for a batch of bases.  Their C-flip c -> -c maps
+the window (L, U) to (-U, -L), so it minimizes chsh_upper, at -L.
 """
 
 from __future__ import annotations
@@ -133,3 +151,61 @@ def family_chsh_bounds(alpha: float, params: np.ndarray
         raise InvalidInputError(
             f"params must have shape (R, 14), got {p.shape}")
     return _chsh_window(*_pair_ranges(_check_alpha(alpha), p)[2:])
+
+
+# V = (g0, g1, g2, -g0, -g1, -g2), the signed bias vectors of a basis
+# (half the v of the module docstring, which only scales the sum).
+# Row k of _NORM2 maps the |g_b|^2 to the k-th distinct |V_i + V_j|^2:
+# 0, |2 g_b|^2, |g_a + g_b|^2 = |g_c|^2 and, by the parallelogram law,
+# |g_a - g_b|^2 = 2|g_a|^2 + 2|g_b|^2 - |g_c|^2, with c the third
+# outcome.  _PLUS[i, j] is the k of |V_i + V_j|, and _EDGES[0][j, l] that
+# of |V_j - V_l| = |V_j + V_(l+3)|, _EDGES[1][j, l] that of |V_j + V_l|.
+_NORM2 = np.concatenate([np.zeros((1, 3)), 4.0 * np.eye(3), np.eye(3),
+                         2.0 - 3.0 * np.eye(3)])[:, :, None]
+_PLUS = np.array([[1, 6, 5, 0, 9, 8],
+                  [6, 2, 4, 9, 0, 7],
+                  [5, 4, 3, 8, 7, 0],
+                  [0, 9, 8, 1, 6, 5],
+                  [9, 0, 7, 6, 2, 4],
+                  [8, 7, 0, 5, 4, 3]])
+_EDGES = np.stack([_PLUS[:, 3:], _PLUS[:, :3]])
+
+
+def _best_sums(g: np.ndarray) -> np.ndarray:
+    """The sums v11+v12, v21+v22, v11+v21, v12-v22, (4, R, 3), of a tuple
+    of signed bias vectors that maximizes the module docstring's sum, per
+    column of g (3, 3, R): the best (v11, v22) in (g0, g1, g2)^2 for the
+    best v12 plus the best v21, on (3, 2, 6, 3, R) arrays of norms."""
+    nv = np.sqrt(np.maximum((_NORM2 * (g * g).sum(axis=1)).sum(axis=1), 0.0))
+    # [i, edge, j or k, l, R]: |v11 + v12| + |v12 - v22| for edge 0 and
+    # |v11 + v21| + |v21 + v22| for edge 1, with v11 = g_i and v22 = g_l
+    t = nv[_PLUS[:3, None, :, None]] + nv[_EDGES]
+    best = t.max(axis=2).sum(axis=1).reshape(9, -1).argmax(axis=0)
+    i, l = np.divmod(best, 3)
+    cols = np.arange(i.size)
+    j, k = t[i, :, :, l, cols].argmax(axis=2).T
+    v = np.concatenate([g, -g])
+    v = v[np.array((i, k, i, j, j, l, k, l + 3)), :, cols]
+    return v[:4] + v[4:]
+
+
+def _optimal_columns(alpha: float, b: np.ndarray) -> np.ndarray:
+    """(14, R) parameter columns: each basis of b (6, R) with the qubit
+    settings a1, a2, c1, c2 that maximize its chsh_lower, the directions
+    of the vectors of _best_sums (the z axis where one is zero)."""
+    pt = np.empty((14, b.shape[1]))
+    pt[8:] = b  # contiguous rows for the trigonometry
+    s = _best_sums(outcome_terms(alpha, batched_columns(pt[8:]))[1])
+    x, y, z = s[..., 0], s[..., 1], s[..., 2]
+    np.arctan2(np.hypot(x, y), z, out=pt[0:8:2])
+    np.arctan2(y, x, out=pt[1:8:2])
+    return pt
+
+
+def _c_flip(pt: np.ndarray) -> np.ndarray:
+    """Parameter columns with c1, c2 antipodal: (theta, phi) -> (pi -
+    theta, phi + pi), which maps the window (L, U) to (-U, -L)."""
+    out = pt.copy()
+    out[4:8:2] = np.pi - pt[4:8:2]
+    out[5:8:2] += np.pi
+    return out

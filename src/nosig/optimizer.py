@@ -1,8 +1,12 @@
-"""Multi-start Nelder-Mead search over 14-parameter measurement families.
+"""Multi-start Nelder-Mead search over the B basis of a CHSH family.
 
-The two objectives (maximize the CHSH lower bound, minimize the upper
+Both objectives (maximize the CHSH lower bound, minimize the upper
 bound) contain absolute values, so a derivative-free simplex method with
-standard coefficients is used.  Each trial point is centroid + coef *
+standard coefficients is used.  The search runs over the six Givens
+angles of the shared qutrit basis: bounds._optimal_columns gives each
+basis its best four qubit settings in closed form, and their C-flip for
+the upper bound, so a trial point is scored by one family_chsh_bounds
+call at its 14-parameter family.  Each trial point is centroid + coef *
 (centroid - worst) with coef 1 (reflection), then at most one follow-up
 per row: 2 (expansion), 1/2 or -1/2 (outside and inside contraction),
 all rows' follow-ups evaluated in one objective call.  A failed
@@ -17,12 +21,12 @@ their slots; a row whose diameter falls below tol freezes, already
 sorted, and is never touched again.  The diameter test tries the worst
 vertex first, and the objective sees at most 1000 rows per call.
 
-Determinism: restart r of grid point i draws from a private stream
-seeded by (seed XOR i) with spawn key (direction, r), so runs with the
-same seed are bit-identical and a longer restart pool extends a shorter
-one.  Restart 0 is not random: it starts at the settings that pin the
-correlators in the GHZ limit (qubits on the z axis, computational B),
-which guarantees the known endpoint values are never missed.
+Determinism: restart r of grid point i in a direction draws from the
+private stream of entropy seed and spawn key (i, direction, r), so runs
+with the same seed are bit-identical, no two (seed, point) pairs share a
+stream, and a longer restart pool extends a shorter one.  Restart 0 is
+not random: it starts at the computational basis, whose optimal settings
+are z axes, so the GHZ-limit values L = 2 and U = -2 are never missed.
 """
 
 from __future__ import annotations
@@ -32,15 +36,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import family_chsh_bounds
+from .bounds import _c_flip, _optimal_columns, family_chsh_bounds
 from .errors import InvalidInputError
 from .states import _check_alpha
 from .tolerances import SIMPLEX_DIAMETER
 
 _SIMPLEX_STEP = 0.3
 _BLOCK_ROWS = 1000  # largest batch one objective call sees
-# Stream spawn keys: (direction, restart) per sweep restart, (_SCAN,) for
-# the uniqueness scan.  Directions also index family_chsh_bounds' pair.
+# Stream spawn keys: (grid_index, direction, restart) per sweep restart,
+# (_SCAN,) for the uniqueness scan.  Directions also index
+# family_chsh_bounds' pair.
 _LOWER, _UPPER, _SCAN = 0, 1, 2
 
 
@@ -185,44 +190,41 @@ def _stream(entropy: int, *key: int) -> np.random.Generator:
         np.random.SeedSequence(entropy=entropy, spawn_key=key)))
 
 
-# (low, span) of each uniform draw of a random start: (cos theta, phi) of
-# the four qubit settings, then (theta, phi) of the three Givens pairs
+# (low, span) of each uniform draw of a random start: (theta, phi) of the
+# three Givens pairs of the B basis
 _START_LOW, _START_SPAN = np.array(
-    [(-1.0, 2.0), (0.0, 2.0 * math.pi)] * 4
-    + [(0.0, math.pi / 2), (0.0, 2.0 * math.pi)] * 3).T
-
-
-def _random_start(rng: np.random.Generator) -> np.ndarray:
-    p = _START_LOW + _START_SPAN * rng.random(14)
-    # math.acos: np.arccos rounds about one draw in ten differently
-    p[0:8:2] = [math.acos(z) for z in p[0:8:2]]
-    return p
+    [(0.0, math.pi / 2), (0.0, 2.0 * math.pi)] * 3).T
 
 
 def _starts(cfg: OptimizerConfig, grid_index: int, direction: int) -> np.ndarray:
-    x0 = np.zeros((cfg.restarts, 14))        # row 0: the pinning start
-    if direction == _UPPER:  # C settings on -z flip the correlator sign
-        x0[0, 4] = x0[0, 6] = math.pi
+    x0 = np.zeros((cfg.restarts, 6))        # row 0: the computational basis
     for r in range(1, cfg.restarts):
-        x0[r] = _random_start(_stream(cfg.seed ^ grid_index, direction, r))
+        x0[r] = _START_LOW + _START_SPAN * _stream(
+            cfg.seed, grid_index, direction, r).random(6)
     return x0
 
 
 def _search(alpha: float, cfg: OptimizerConfig, grid_index: int,
             direction: int) -> OptimizationResult:
-    """Multi-start search minimizing sign * bound, where the bound is
-    family_chsh_bounds(...)[direction] and sign flips the lower bound."""
+    """Multi-start search over the B basis minimizing sign * bound, where
+    the bound is family_chsh_bounds(...)[direction] at the basis's optimal
+    qubit settings (their C-flip for the upper bound) and sign flips the
+    lower bound."""
     sign = -1.0 if direction == _LOWER else 1.0
 
-    def objective(p):
-        return sign * family_chsh_bounds(alpha, p)[direction]
+    def families(b):  # (R, 6) bases -> (R, 14) parameter rows
+        pt = _optimal_columns(alpha, b.T)
+        return (pt if direction == _LOWER else _c_flip(pt)).T
+
+    def objective(b):
+        return sign * family_chsh_bounds(alpha, families(b))[direction]
 
     pts, vals, iters = nelder_mead_batch(
         objective, _starts(cfg, grid_index, direction),
         max_iters=cfg.max_iters, tol=cfg.tol)
     k = int(np.argmin(vals))
     return OptimizationResult(value=sign * float(vals[k]),
-                              params=pts[k].copy(),
+                              params=families(pts[k:k + 1])[0].copy(),
                               iterations=int(iters.sum()))
 
 

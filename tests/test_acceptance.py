@@ -21,6 +21,7 @@ from nosig.correlations import (correlator, decompose, fach_closed_form,
 from nosig.bounds import family_bounds
 from nosig.feasibility import theorem1_check
 from nosig.measurements import BlochSetting, QutritBasis, SettingsFamily
+from nosig import optimizer
 from nosig.optimizer import OptimizerConfig, maximize_chsh_lower, sweep
 from nosig.states import rho_ac_analytic
 from nosig.uniqueness import uniqueness_scan
@@ -35,8 +36,25 @@ def _report(num: int, label: str):
 
 
 @pytest.fixture(scope="module")
-def full_sweep():
-    return sweep(SWEEP_CFG)
+def sweep_run():
+    """The canonical sweep, and the iteration counts of its restarts."""
+    iters, search = [], optimizer.nelder_mead_batch
+
+    def recording(*args, **kwargs):
+        out = search(*args, **kwargs)
+        iters.append(out[2])
+        return out
+
+    optimizer.nelder_mead_batch = recording
+    try:
+        return sweep(SWEEP_CFG), iters
+    finally:
+        optimizer.nelder_mead_batch = search
+
+
+@pytest.fixture(scope="module")
+def full_sweep(sweep_run):
+    return sweep_run[0]
 
 
 def test_criterion_1_endpoint_reproduction(full_sweep):
@@ -73,12 +91,21 @@ def test_criterion_4_direction_symmetry(full_sweep):
     _report(4, "lower/upper symmetry")
 
 
+def test_canonical_sweep_restarts_all_converge(sweep_run):
+    # no restart of either direction stops at max_iters, so a capped
+    # search cannot pass for a converged one
+    _, iters = sweep_run
+    assert len(iters) == 2 * len(GRID)
+    assert all(len(i) == SWEEP_CFG.restarts for i in iters)
+    assert max(int(i.max()) for i in iters) < SWEEP_CFG.max_iters
+
+
 def test_canonical_sweep_csv_pinned(full_sweep):
     # the CSV that `nosig sweep --grid 0:pi/2:21 --restarts 200 --seed 42`
     # writes, pinned across commits
     csv = records_to_csv(full_sweep).encode()
     assert hashlib.sha256(csv).hexdigest() == \
-        "c0d4def062dd7847bc7dd32b280aa6b4ef7fe44feb982bd06f9ae71894c226aa"
+        "f1be8e0cb0156790f0fd0de15505b2e688057a2bf32829e6e4a870bbfda8e2b5"
 
 
 def test_criterion_5_chsh_threshold():

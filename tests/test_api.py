@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import nosig
 
 # The public names of the package.  A removal or addition shows up as a
@@ -25,3 +28,15 @@ PUBLIC = [
 def test_public_names_pinned():
     assert len(PUBLIC) == 60
     assert sorted(nosig.__all__) == PUBLIC
+
+
+def test_cli_import_loads_no_third_party_module_but_numpy():
+    # numpy is the one dependency; scipy and the like must not load at
+    # import time, which every command, and its set-up time, pays
+    code = ("import sys; before = set(sys.modules); import nosig.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    loaded = {name.partition(".")[0] for name in out.split()}
+    assert {"nosig", "numpy"} <= loaded
+    assert loaded - set(sys.stdlib_module_names) == {"nosig", "numpy"}

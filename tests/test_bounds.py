@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from nosig.bounds import (BoundsReport, FamilyBounds, batched_columns,
-                          family_bounds, family_chsh_bounds, h_bounds)
+from nosig.bounds import (BoundsReport, FamilyBounds, _best_sums, _c_flip,
+                          _optimal_columns, batched_columns, family_bounds,
+                          family_chsh_bounds, h_bounds)
 from nosig import tolerances as tol
 from nosig.correlations import (Decomposition, chsh_value, correlator,
                                 decompose, outcome_terms, quantum_joint)
@@ -296,3 +297,81 @@ class TestBatchedPath:
             assert np.allclose(u.conj().T @ u, np.eye(3), atol=1e-13)
             single = qutrit_unitary(QutritBasis(tuple(angles[:, k])))
             assert np.allclose(u, single, atol=1e-14)
+
+
+class TestOptimalSettings:
+    """The closed-form best qubit settings of a basis (bounds docstring),
+    against a brute force over all 7^4 tuples of {0, +-2 g_b}."""
+
+    N_BASES = 2000
+
+    @staticmethod
+    def bases(alpha):
+        seed = int(1e6 * alpha)
+        return np.random.default_rng(seed).uniform(
+            0, 2 * math.pi, (6, TestOptimalSettings.N_BASES))
+
+    @staticmethod
+    def brute_force_max(g):
+        """max |v11+v12| + |v21+v22| + |v11+v21| + |v12-v22| over all 2401
+        tuples, with every norm taken from the vectors themselves."""
+        v = np.concatenate([np.zeros_like(g[:1]), 2 * g, -2 * g])  # (7, 3, R)
+        plus = np.linalg.norm(v[:, None] + v[None], axis=2)       # (7, 7, R)
+        minus = np.linalg.norm(v[:, None] - v[None], axis=2)
+        best = np.full(g.shape[-1], -np.inf)
+        for a in range(7):  # [v12, v21, v22]
+            f = (plus[a][:, None, None] + plus[None, :, :]
+                 + plus[a][None, :, None] + minus[:, None, :])
+            best = np.maximum(best, f.max(axis=(0, 1, 2)))
+        return best
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, math.pi / 4, 1.2,
+                                       math.pi / 2])
+    def test_rebuilt_settings_reach_the_brute_force_max(self, alpha):
+        b = self.bases(alpha)
+        g = outcome_terms(alpha, batched_columns(b))[1]
+        best = self.brute_force_max(g)
+        reduced = 2 * np.linalg.norm(_best_sums(g), axis=2).sum(axis=0)
+        assert np.max(np.abs(reduced - best)) <= 1e-14
+        pt = _optimal_columns(alpha, b)
+        assert pt[8:].tobytes() == b.tobytes()
+        lower, _ = family_chsh_bounds(alpha, pt.T)
+        assert np.max(np.abs(lower - (-4.0 + best))) <= 1e-14
+        # the C-flip of the same settings gives U = -L
+        _, upper = family_chsh_bounds(alpha, _c_flip(pt).T)
+        assert np.max(np.abs(upper + lower)) <= 1e-14
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, math.pi / 4, 1.2,
+                                       math.pi / 2])
+    def test_no_random_settings_do_better(self, alpha):
+        b = self.bases(alpha)
+        lower = family_chsh_bounds(alpha, _optimal_columns(alpha, b).T)[0]
+        rng = np.random.default_rng(7)
+        trials = 500
+        for start in range(0, self.N_BASES, 100):  # 50000 rows per call
+            p = np.empty((100, trials, 14))
+            p[..., :8] = rng.uniform(0, 2 * math.pi, (100, trials, 8))
+            p[..., 8:] = b[:, start:start + 100].T[:, None, :]
+            lo, up = family_chsh_bounds(alpha, p.reshape(-1, 14))
+            assert np.all(lo.reshape(100, trials).max(axis=1)
+                          <= lower[start:start + 100] + 1e-14)
+            assert np.all(up.reshape(100, trials).min(axis=1)
+                          >= -lower[start:start + 100] - 1e-14)
+
+    def test_batch_equals_single_rows_bitwise(self):
+        b = self.bases(0.7)[:, :300]
+        pt = _optimal_columns(0.7, b)
+        window = family_chsh_bounds(0.7, pt.T)
+        flipped = _c_flip(pt)
+        for k in range(0, 300, 13):
+            one = _optimal_columns(0.7, b[:, k:k + 1])
+            assert one[:, 0].tobytes() == pt[:, k].tobytes()
+            assert _c_flip(one)[:, 0].tobytes() == flipped[:, k].tobytes()
+            lo, up = family_chsh_bounds(0.7, one.T)
+            assert lo[0] == window[0][k] and up[0] == window[1][k]
+
+    def test_computational_basis_takes_the_z_axes(self):
+        # restart 0 of the sweep: every optimal sum lies on the z axis
+        for alpha in (0.4, 1.0, math.pi / 2):
+            pt = _optimal_columns(alpha, np.zeros((6, 1)))
+            assert np.all((pt[0:8:2] == 0.0) | (pt[0:8:2] == math.pi))

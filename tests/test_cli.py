@@ -427,7 +427,7 @@ class TestGoldenDigests:
         argv = ["sweep", "--grid", "0:pi/2:5", "--restarts", "3",
                 "--max-iters", "400", "--seed", "7"]
         assert self.digest(capsys, argv) == \
-            "d5cfa2e4047306abc4c7baac97ffec4478317c53649ed057e0f2a0551d9a7f99"
+            "720ef34d8fd007812077d96c027d23aa13a468e60a4710aa09962f2692768c8f"
 
     def test_uniqueness(self, capsys):
         argv = ["uniqueness", "--alpha", "0.8", "--samples", "200",

@@ -6,9 +6,9 @@ import pytest
 
 from nosig.bounds import family_chsh_bounds
 from nosig.errors import InvalidInputError
-from nosig.optimizer import (_BLOCK_ROWS, OptimizerConfig, _in_blocks, _live,
-                             maximize_chsh_lower, minimize_chsh_upper,
-                             nelder_mead_batch, sweep)
+from nosig.optimizer import (_BLOCK_ROWS, _LOWER, _UPPER, OptimizerConfig,
+                             _in_blocks, _live, _starts, maximize_chsh_lower,
+                             minimize_chsh_upper, nelder_mead_batch, sweep)
 
 FAST = OptimizerConfig(restarts=20, max_iters=2000, tol=1e-10, seed=7)
 
@@ -225,6 +225,57 @@ class TestSearchInvariants:
         lo = maximize_chsh_lower(alpha, cfg)
         up = minimize_chsh_upper(alpha, cfg)
         assert abs(up.value + lo.value) <= 1e-3
+
+
+def fourteen_angle_search(alpha, direction, restarts, seed):
+    """The reference search over all 14 settings angles, with no closed
+    form: restart 0 at the z axes (C on -z for the upper bound), the
+    others uniform on the sphere and the Givens chart."""
+    rng = np.random.default_rng(seed)
+    x0 = np.zeros((restarts, 14))
+    if direction == _UPPER:
+        x0[0, 4] = x0[0, 6] = math.pi
+    x0[1:, 0:8:2] = np.arccos(rng.uniform(-1.0, 1.0, (restarts - 1, 4)))
+    x0[1:, 1:8:2] = rng.uniform(0.0, 2.0 * math.pi, (restarts - 1, 4))
+    x0[1:, 8::2] = rng.uniform(0.0, math.pi / 2, (restarts - 1, 3))
+    x0[1:, 9::2] = rng.uniform(0.0, 2.0 * math.pi, (restarts - 1, 3))
+    sign = -1.0 if direction == _LOWER else 1.0
+    _, vals, _ = nelder_mead_batch(
+        lambda p: sign * family_chsh_bounds(alpha, p)[direction], x0,
+        max_iters=2000, tol=1e-10)
+    return sign * float(vals.min())
+
+
+class TestSixAngleSearch:
+    @pytest.mark.parametrize("alpha", [0.4, math.pi / 4, 1.2])
+    def test_fourteen_angle_oracle_never_does_better(self, alpha):
+        cfg = OptimizerConfig(restarts=24, max_iters=2000, tol=1e-10, seed=2)
+        lower = fourteen_angle_search(alpha, _LOWER, 24, seed=1)
+        upper = fourteen_angle_search(alpha, _UPPER, 24, seed=1)
+        assert lower <= maximize_chsh_lower(alpha, cfg).value + 1e-12
+        assert upper >= minimize_chsh_upper(alpha, cfg).value - 1e-12
+
+    def test_complex_branch_is_linear_in_sin_2alpha(self):
+        # for alpha up to about 0.95, L_bar = -4 + kappa sin 2alpha with one
+        # constant kappa (ROADMAP item 6); 1.0 already lies on the real branch
+        cfg = OptimizerConfig(restarts=40, max_iters=2000, tol=1e-10, seed=0)
+        kappa = [(maximize_chsh_lower(alpha, cfg).value + 4.0)
+                 / math.sin(2.0 * alpha)
+                 for alpha in (0.2, 0.5, math.pi / 4, 0.9)]
+        assert max(kappa) - min(kappa) <= 1e-9
+        assert kappa[0] == pytest.approx(4.83055464273694, abs=1e-9)
+
+    def test_streams_differ_across_seeds_and_points(self):
+        # keyed by (grid_index, direction, restart) under entropy seed, so
+        # seed 42 at point 1 no longer repeats seed 43 at point 0
+        a = _starts(OptimizerConfig(restarts=50, seed=42), 1, _LOWER)
+        b = _starts(OptimizerConfig(restarts=50, seed=43), 0, _LOWER)
+        assert a.shape == (50, 6) and not np.any(a[0]) and not np.any(b[0])
+        assert not np.any(np.all(a[1:, None] == b[None, 1:], axis=2))
+        up = _starts(OptimizerConfig(restarts=50, seed=42), 1, _UPPER)
+        assert not np.any(np.all(a[1:] == up[1:], axis=1))
+        longer = _starts(OptimizerConfig(restarts=80, seed=42), 1, _LOWER)
+        assert longer[:50].tobytes() == a.tobytes()
 
 
 class TestSweep:
