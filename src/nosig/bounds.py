@@ -37,7 +37,9 @@ keeps its value under the relabelings (v21, v22, v11, v12) and
 and of v12, -v21; one of them makes the two signs equal, v -> -v makes
 both positive, so v11 and v22 can be taken in {2 g_0, 2 g_1, 2 g_2}.  _optimal_columns
 rebuilds those settings for a batch of bases.  Their C-flip c -> -c maps
-the window (L, U) to (-U, -L), so it minimizes chsh_upper, at -L.
+the window (L, U) to (-U, -L), so it minimizes chsh_upper, at -L.  The
+rebuild also returns the bases' (f, g), and family_chsh_bounds takes them
+as terms, so a sweep trial evaluates its basis once.
 """
 
 from __future__ import annotations
@@ -106,12 +108,16 @@ class FamilyBounds:
                 or self.chsh_upper < -2.0 - tol.VIOLATION_STRICT)
 
 
-def _pair_ranges(alpha: float, p: np.ndarray) -> tuple[np.ndarray, ...]:
+def _pair_ranges(alpha: float, p: np.ndarray, terms=None
+                 ) -> tuple[np.ndarray, ...]:
     """Per-outcome h ranges (lower, upper), each (3, 2, 2, R), of (R, 14)
     parameter rows, then their sums over outcomes, each (2, 2, R).  Index
-    [b, x, z, r] is outcome b of the pair of A setting x and C setting z."""
+    [b, x, z, r] is outcome b of the pair of A setting x and C setting z.
+    terms, when given, is outcome_terms of the rows' bases, (f, g)."""
     pt = np.ascontiguousarray(p.T)
-    f, g = outcome_terms(alpha, batched_columns(pt[8:14]))
+    if terms is None:
+        terms = outcome_terms(alpha, batched_columns(pt[8:14]))
+    f, g = terms
     nx, ny, nz = bloch_vectors(pt[0:8:2], pt[1:8:2])
     # biases of a1, a2, c1, c2 along their Bloch vectors, (outcome, 4, R)
     bias = g[:, 0, None] * nx + g[:, 1, None] * ny + g[:, 2, None] * nz
@@ -138,19 +144,26 @@ def family_bounds(alpha: float, fam: SettingsFamily) -> FamilyBounds:
         chsh_lower=float(chsh_lower[0]), chsh_upper=float(chsh_upper[0]))
 
 
-def family_chsh_bounds(alpha: float, params: np.ndarray
+def family_chsh_bounds(alpha: float, params: np.ndarray, *, terms=None
                        ) -> tuple[np.ndarray, np.ndarray]:
     """(chsh_lower, chsh_upper) for a batch of parameter vectors.
 
     params has shape (R, 14), or (14,), laid out as SettingsFamily.to_params;
     the result is a pair of (R,) arrays.  family_bounds is the same kernel
     on a batch of one; the test suite checks both against the Born rule.
+    terms, if given, must be outcome_terms(alpha, batched_columns(
+    params[:, 8:].T)), f (3, R) and g (3, 3, R), as _optimal_columns returns
+    them; the kernel then skips that step with the same result, bit for bit.
     """
     p = np.atleast_2d(np.asarray(params, dtype=float))
     if p.ndim != 2 or p.shape[1] != 14:
         raise InvalidInputError(
             f"params must have shape (R, 14), got {p.shape}")
-    return _chsh_window(*_pair_ranges(_check_alpha(alpha), p)[2:])
+    if terms is not None and [np.shape(t) for t in terms] != [
+            (3, len(p)), (3, 3, len(p))]:
+        raise InvalidInputError(
+            f"terms must have shapes (3, {len(p)}) and (3, 3, {len(p)})")
+    return _chsh_window(*_pair_ranges(_check_alpha(alpha), p, terms)[2:])
 
 
 # V = (g0, g1, g2, -g0, -g1, -g2), the signed bias vectors of a basis
@@ -189,17 +202,20 @@ def _best_sums(g: np.ndarray) -> np.ndarray:
     return v[:4] + v[4:]
 
 
-def _optimal_columns(alpha: float, b: np.ndarray) -> np.ndarray:
+def _optimal_columns(alpha: float, b: np.ndarray) -> tuple[np.ndarray, tuple]:
     """(14, R) parameter columns: each basis of b (6, R) with the qubit
     settings a1, a2, c1, c2 that maximize its chsh_lower, the directions
-    of the vectors of _best_sums (the z axis where one is zero)."""
+    of the vectors of _best_sums (the z axis where one is zero); and the
+    bases' outcome_terms (f, g), which family_chsh_bounds takes as terms
+    for these columns and for their _c_flip."""
     pt = np.empty((14, b.shape[1]))
     pt[8:] = b  # contiguous rows for the trigonometry
-    s = _best_sums(outcome_terms(alpha, batched_columns(pt[8:]))[1])
+    terms = outcome_terms(alpha, batched_columns(pt[8:]))
+    s = _best_sums(terms[1])
     x, y, z = s[..., 0], s[..., 1], s[..., 2]
     np.arctan2(np.hypot(x, y), z, out=pt[0:8:2])
     np.arctan2(y, x, out=pt[1:8:2])
-    return pt
+    return pt, terms
 
 
 def _c_flip(pt: np.ndarray) -> np.ndarray:

@@ -6,7 +6,8 @@ standard coefficients is used.  The search runs over the six Givens
 angles of the shared qutrit basis: bounds._optimal_columns gives each
 basis its best four qubit settings in closed form, and their C-flip for
 the upper bound, so a trial point is scored by one family_chsh_bounds
-call at its 14-parameter family.  Each trial point is centroid + coef *
+call at its 14-parameter family, which reuses the basis terms (f, g)
+that the rebuild computed.  Each trial point is centroid + coef *
 (centroid - worst) with coef 1 (reflection), then at most one follow-up
 per row: 2 (expansion), 1/2 or -1/2 (outside and inside contraction),
 all rows' follow-ups evaluated in one objective call.  A failed
@@ -212,19 +213,20 @@ def _search(alpha: float, cfg: OptimizerConfig, grid_index: int,
     lower bound."""
     sign = -1.0 if direction == _LOWER else 1.0
 
-    def families(b):  # (R, 6) bases -> (R, 14) parameter rows
-        pt = _optimal_columns(alpha, b.T)
-        return (pt if direction == _LOWER else _c_flip(pt)).T
+    def families(b):  # (R, 6) bases -> (R, 14) parameter rows, (f, g)
+        pt, terms = _optimal_columns(alpha, b.T)
+        return (pt if direction == _LOWER else _c_flip(pt)).T, terms
 
     def objective(b):
-        return sign * family_chsh_bounds(alpha, families(b))[direction]
+        p, terms = families(b)  # the C-flip leaves the basis terms as they are
+        return sign * family_chsh_bounds(alpha, p, terms=terms)[direction]
 
     pts, vals, iters = nelder_mead_batch(
         objective, _starts(cfg, grid_index, direction),
         max_iters=cfg.max_iters, tol=cfg.tol)
     k = int(np.argmin(vals))
     return OptimizationResult(value=sign * float(vals[k]),
-                              params=families(pts[k:k + 1])[0].copy(),
+                              params=families(pts[k:k + 1])[0][0].copy(),
                               iterations=int(iters.sum()))
 
 

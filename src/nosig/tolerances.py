@@ -22,5 +22,8 @@ SIMPLEX_DIAMETER = 1e-10   # Nelder-Mead convergence: simplex diameter
 SCAN_DIAMETER = 1e-12      # the uniqueness scan's Nelder-Mead diameter
 VIOLATION_STRICT = 1e-9    # margin for the forced-CHSH-violation witness
 ORTHO_COLLAPSE = 1e-8      # norm below which Gram-Schmidt output is degenerate
+# Residual r puts a purification within max(sqrt(2r)/s, r/(s c)) of the
+# unique point, s, c = sin, cos(alpha) (uniqueness docstring), so every
+# near-zero residual is within UNIQUE_DISTANCE for 1e-10 <= c^2 <= 0.98.
 NEAR_ZERO_RESIDUAL = 1e-8  # scan minimizers below this count as exact matches
 UNIQUE_DISTANCE = 1e-3     # how close an exact match must sit to the known point

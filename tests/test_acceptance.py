@@ -29,6 +29,7 @@ from nosig.uniqueness import uniqueness_scan
 GRID = tuple(np.linspace(0.0, math.pi / 2, 21))
 SWEEP_CFG = OptimizerConfig(restarts=200, max_iters=2000, tol=1e-10,
                             seed=42, alpha_grid=GRID)
+KAPPA = 4.83055464273694  # (L_bar + 4) / sin 2alpha on the complex branch
 
 
 def _report(num: int, label: str):
@@ -89,6 +90,25 @@ def test_criterion_4_direction_symmetry(full_sweep):
         assert abs(rec.u_bar + rec.l_bar) <= 1e-3, \
             f"asymmetry at alpha={rec.alpha}: {rec.u_bar + rec.l_bar}"
     _report(4, "lower/upper symmetry")
+
+
+def test_lower_and_upper_searches_agree_to_round_off(full_sweep):
+    # U = -L at C-antipodal settings, so the two independent searches
+    # must meet at the same value; criterion 4 gates it at 1e-3
+    for rec in full_sweep:
+        assert abs(rec.u_bar + rec.l_bar) <= 1e-12, rec.alpha
+
+
+def test_complex_branch_of_the_curve(full_sweep):
+    # ROADMAP item 6: up to alpha* in (0.950, 0.960), L_bar = -4 + kappa
+    # sin 2alpha (kappa as in test_optimizer); grid points 13-20 lie past
+    # alpha* and well above that line
+    for i, rec in enumerate(full_sweep):
+        gap = rec.l_bar - (-4.0 + KAPPA * math.sin(2.0 * rec.alpha))
+        if i <= 12:
+            assert abs(gap) <= 1e-9, (i, gap)
+        else:
+            assert gap > 0.4, (i, gap)
 
 
 def test_canonical_sweep_restarts_all_converge(sweep_run):

@@ -333,7 +333,7 @@ class TestOptimalSettings:
         best = self.brute_force_max(g)
         reduced = 2 * np.linalg.norm(_best_sums(g), axis=2).sum(axis=0)
         assert np.max(np.abs(reduced - best)) <= 1e-14
-        pt = _optimal_columns(alpha, b)
+        pt, _ = _optimal_columns(alpha, b)
         assert pt[8:].tobytes() == b.tobytes()
         lower, _ = family_chsh_bounds(alpha, pt.T)
         assert np.max(np.abs(lower - (-4.0 + best))) <= 1e-14
@@ -345,7 +345,7 @@ class TestOptimalSettings:
                                        math.pi / 2])
     def test_no_random_settings_do_better(self, alpha):
         b = self.bases(alpha)
-        lower = family_chsh_bounds(alpha, _optimal_columns(alpha, b).T)[0]
+        lower = family_chsh_bounds(alpha, _optimal_columns(alpha, b)[0].T)[0]
         rng = np.random.default_rng(7)
         trials = 500
         for start in range(0, self.N_BASES, 100):  # 50000 rows per call
@@ -360,18 +360,40 @@ class TestOptimalSettings:
 
     def test_batch_equals_single_rows_bitwise(self):
         b = self.bases(0.7)[:, :300]
-        pt = _optimal_columns(0.7, b)
+        pt, _ = _optimal_columns(0.7, b)
         window = family_chsh_bounds(0.7, pt.T)
         flipped = _c_flip(pt)
         for k in range(0, 300, 13):
-            one = _optimal_columns(0.7, b[:, k:k + 1])
+            one, _ = _optimal_columns(0.7, b[:, k:k + 1])
             assert one[:, 0].tobytes() == pt[:, k].tobytes()
             assert _c_flip(one)[:, 0].tobytes() == flipped[:, k].tobytes()
             lo, up = family_chsh_bounds(0.7, one.T)
             assert lo[0] == window[0][k] and up[0] == window[1][k]
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, math.pi / 4, 1.2,
+                                       math.pi / 2])
+    def test_shared_terms_give_the_same_window_bitwise(self, alpha):
+        # the sweep hands the rebuild's (f, g) to the kernel, for the
+        # rebuilt settings and for their C-flip alike
+        b = self.bases(alpha)[:, :300]
+        for cols in (b, *(b[:, k:k + 1] for k in range(0, 300, 13))):
+            pt, terms = _optimal_columns(alpha, cols)
+            for p in (pt.T, _c_flip(pt).T):
+                shared = family_chsh_bounds(alpha, p, terms=terms)
+                own = family_chsh_bounds(alpha, p)
+                assert [w.tobytes() for w in shared] == \
+                    [w.tobytes() for w in own]
+
+    def test_terms_of_another_batch_size_rejected(self):
+        b = self.bases(0.3)[:, :4]
+        pt, (f, g) = _optimal_columns(0.3, b)
+        for terms in ((f[:, :3], g[:, :, :3]), (f, g[:, :, :3]), (g, f),
+                      (f,)):
+            with pytest.raises(InvalidInputError, match="terms"):
+                family_chsh_bounds(0.3, pt.T, terms=terms)
+
     def test_computational_basis_takes_the_z_axes(self):
         # restart 0 of the sweep: every optimal sum lies on the z axis
         for alpha in (0.4, 1.0, math.pi / 2):
-            pt = _optimal_columns(alpha, np.zeros((6, 1)))
+            pt, _ = _optimal_columns(alpha, np.zeros((6, 1)))
             assert np.all((pt[0:8:2] == 0.0) | (pt[0:8:2] == math.pi))
