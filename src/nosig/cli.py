@@ -210,6 +210,7 @@ def _cmd_uniqueness(args) -> int:
           f"(max distance {rep.max_distance_near_zero:.6e})")
     print(f"capped / next     : {rep.n_capped} rows at max_iters, "
           f"next residual {rep.next_residual:.6e}")
+    print(f"stop residual     : {rep.stop_residual:.6e}")
     if rep.confirmed:
         print("CONFIRMED: every exact-marginal point sits at the unique "
               "purification")

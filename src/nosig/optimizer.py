@@ -18,9 +18,13 @@ hot loop is numpy array code rather than a Python loop per restart.
 Each vertex keeps a fixed slot in an (R*(d+1), d) array and an (R, d+1)
 rank table lists each row's slots best first.  An iteration sorts and
 gathers only the live rows, in rank order, and writes new points into
-their slots; a row whose diameter falls below tol freezes, already
-sorted, and is never touched again.  The diameter test tries the worst
-vertex first, and the objective sees at most 1000 rows per call.
+their slots; a row whose diameter falls below tol, or whose best value
+falls below an optional target, freezes, already sorted, and is never
+touched again.  The uniqueness scan passes a target (the residual whose
+distance bound settles its verdict); the sweep passes none, as its
+bounds have no floor to stop at.
+The diameter test tries the worst vertex first, and the objective sees
+at most 1000 rows per call.
 
 Determinism: restart r of grid point i in a direction draws from the
 private stream of entropy seed and spawn key (i, direction, r), so runs
@@ -111,12 +115,15 @@ def _live(xa: np.ndarray, centroid: np.ndarray, tol: float) -> np.ndarray:
 
 
 def nelder_mead_batch(objective, x0: np.ndarray, *, max_iters: int,
-                      tol: float, step: float = _SIMPLEX_STEP):
+                      tol: float, step: float = _SIMPLEX_STEP,
+                      target: float | None = None):
     """Minimize objective over a batch of starts advanced in lockstep.
 
     objective maps an (N, d) array to (N,) values; x0 is (R, d).  Returns
     (best points (R, d), best values (R,), iterations used (R,)).  A row
-    freezes once its simplex diameter (max-norm) drops below tol.
+    freezes once its simplex diameter (max-norm) drops below tol, or,
+    when target is given, once its best value is below target (a NaN
+    value never is).
     """
     x0 = np.asarray(x0, dtype=float)
     r, d = x0.shape
@@ -137,6 +144,8 @@ def nelder_mead_batch(objective, x0: np.ndarray, *, max_iters: int,
         xa = np.take(x, slots.T, axis=0)  # (d+1, n, d), vertex-major
         centroid = xa[:d].sum(axis=0) / d  # summed in rank order
         live = _live(xa, centroid, tol)
+        if target is not None:
+            live &= ~(fa[:, 0] < target)
         if not live.all():
             idx, slots, fa = idx[live], slots[live], fa[live]
             xa, centroid = xa[:, live], centroid[live]

@@ -25,5 +25,8 @@ ORTHO_COLLAPSE = 1e-8      # norm below which Gram-Schmidt output is degenerate
 # Residual r puts a purification within max(sqrt(2r)/s, r/(s c)) of the
 # unique point, s, c = sin, cos(alpha) (uniqueness docstring), so every
 # near-zero residual is within UNIQUE_DISTANCE for 1e-10 <= c^2 <= 0.98.
+# The scan stops its rows below uniqueness._stop_residual, derived from
+# both: within UNIQUE_DISTANCE / 2 at any interior alpha, so it never
+# flips the verdict.
 NEAR_ZERO_RESIDUAL = 1e-8  # scan minimizers below this count as exact matches
 UNIQUE_DISTANCE = 1e-3     # how close an exact match must sit to the known point

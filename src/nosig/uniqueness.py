@@ -20,6 +20,15 @@ NEAR_ZERO_RESIDUAL implies a distance below UNIQUE_DISTANCE whenever
 1e-10 <= cos^2(alpha) <= 0.98.  The scan looks for chart points whose
 residual vanishes far from there; finding none checks the argument.
 
+Each Nelder-Mead round also stops a row once its residual is below
+_stop_residual(alpha) = min(NEAR_ZERO_RESIDUAL, (s UNIQUE_DISTANCE)^2 / 8,
+s c UNIQUE_DISTANCE / 2).  By the bound such a row lies within
+UNIQUE_DISTANCE / 2 of the unique point at any interior alpha, and more
+iterations could only lower its residual, so the stop cannot flip
+confirmed; it ends the rows that reached the unique point, which the
+diameter test would run to max_iters.  The stop is NEAR_ZERO_RESIDUAL
+for 4e-10 <= cos^2(alpha) <= 0.92.
+
 The residual and the distance see the four vectors only through their
 inner products, so the chart quotients out the unitaries on X exactly:
 its frame is the R of a QR of [x10 x11 x20 x21] with a real nonnegative
@@ -106,6 +115,7 @@ class UniquenessScanReport:
     max_distance_near_zero: float
     n_capped: int
     next_residual: float
+    stop_residual: float
     confirmed: bool
 
 
@@ -255,6 +265,15 @@ def _residual_chart(alpha: float, chart: np.ndarray) -> np.ndarray:
     return np.where(bad, _PENALTY, out)
 
 
+def _stop_residual(alpha: float) -> float:
+    """The residual below which a scan row stops: by the distance bound
+    it puts the row within UNIQUE_DISTANCE / 2 of the unique point, and it
+    never exceeds NEAR_ZERO_RESIDUAL, so a stopped row counts as near zero."""
+    s, c = math.sin(alpha), math.cos(alpha)
+    d = tol.UNIQUE_DISTANCE
+    return min(tol.NEAR_ZERO_RESIDUAL, (s * d) ** 2 / 8.0, s * c * d / 2.0)
+
+
 def _distance_chart(chart: np.ndarray) -> np.ndarray:
     """Batched distance-to-unique-point on effective parameters."""
     _, e2, c1, x10, bad = _chart_states(chart)
@@ -290,11 +309,11 @@ def uniqueness_scan(alpha: float, n_samples: int = 10000,
     order = np.argsort(res, kind="stable")[:n_local_starts]
     best = np.vstack([_to_chart(unique_point_params()), chart[order]])
 
-    max_iters = 2000
+    max_iters, stop = 2000, _stop_residual(a)
     for _ in range(3):  # restarted simplex rounds tighten stalled minima
         best, vals, iters = nelder_mead_batch(
             objective, best, max_iters=max_iters, tol=tol.SCAN_DIAMETER,
-            step=0.1)
+            step=0.1, target=stop)
     dists = _distance_chart(best)
     k = int(np.argmin(vals))
     near = vals < tol.NEAR_ZERO_RESIDUAL
@@ -307,6 +326,7 @@ def uniqueness_scan(alpha: float, n_samples: int = 10000,
         max_distance_near_zero=max_dist_near,
         n_capped=int(np.count_nonzero(iters >= max_iters)),
         next_residual=float(np.min(vals[~near], initial=np.inf)),
+        stop_residual=stop,
         confirmed=bool(np.any(near)
                        and max_dist_near < tol.UNIQUE_DISTANCE))
 

@@ -153,8 +153,8 @@ def test_criterion_6_marginal_feasibility(capsys):
 
 
 SCAN_REPR_SHA256 = {
-    0.5: "5fee99026325396d20402c0e8b86d6eb25740bed2f246717f63f6850fd6bf0ec",
-    0.85: "c5324f95c16e1b743ecbf14baf80e45c6c073898e24b582372a61f22e102f375",
+    0.5: "55c1a55b345a84e10d09f194d1252e507681cc008b88dff926cf206c07443fd0",
+    0.85: "99d2b1b52968eb0e3c684a0186837300b98b42330ef4c5e48c50b1c3f85f9ede",
 }
 
 

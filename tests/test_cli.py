@@ -297,6 +297,7 @@ class TestUniquenessCommand:
         assert "CONFIRMED" in out
         assert "min residual" in out
         assert "rows at max_iters, next residual" in out
+        assert "stop residual     : 1.000000e-08" in out
 
     def test_counterexample_exits_1(self, capsys, monkeypatch):
         calls = []
@@ -307,7 +308,7 @@ class TestUniquenessCommand:
                 alpha=alpha, n_samples=10, n_local_starts=2, seed=0,
                 min_residual=0.0, distance_at_min=0.5, near_zero_count=2,
                 max_distance_near_zero=0.5, n_capped=0, next_residual=1.0,
-                confirmed=False)
+                stop_residual=1e-8, confirmed=False)
 
         monkeypatch.setattr(cli, "uniqueness_scan", counterexample)
         assert main(["uniqueness", "--alpha", "pi/4"]) == 1
@@ -433,4 +434,4 @@ class TestGoldenDigests:
         argv = ["uniqueness", "--alpha", "0.8", "--samples", "200",
                 "--starts", "4", "--seed", "5"]
         assert self.digest(capsys, argv) == \
-            "e4f7401dc6ec1bcf7612d1330eec01923e8ed454d119335a410888591ce59b6c"
+            "7cc923da13492b2fba7963d4d7ff764d571e58af67f1cb62698fd8f1484b42e3"

@@ -91,18 +91,25 @@ class TestNelderMeadBatch:
             bowl = np.sum(p ** 2, axis=1) + 0.3 * np.sin(3 * p[:, 1])
             return np.where(p[:, 0] > 5.0, 1.0, bowl)
 
+        # with target -0.1 the others stop early too, below the target
         x0 = np.random.default_rng(4).normal(0, 1, (7, 4))
         x0[[1, 4, 5], 0] = 10.0
-        pts, vals, iters = nelder_mead_batch(objective, x0, max_iters=50,
-                                             tol=1e-3)
-        assert np.all(iters[[1, 4, 5]] < 15)
-        assert np.all(iters[[0, 2, 3, 6]] == 50)
-        for i in range(len(x0)):
-            p1, v1, n1 = nelder_mead_batch(objective, x0[i:i + 1],
-                                           max_iters=50, tol=1e-3)
-            assert p1[0].tobytes() == pts[i].tobytes()
-            assert v1[0].tobytes() == vals[i].tobytes()
-            assert n1[0] == iters[i]
+        for target in (None, -0.1):
+            pts, vals, iters = nelder_mead_batch(
+                objective, x0, max_iters=50, tol=1e-3, target=target)
+            assert np.all(iters[[1, 4, 5]] < 15)
+            if target is None:
+                assert np.all(iters[[0, 2, 3, 6]] == 50)
+            else:
+                assert np.all(iters[[0, 2, 3, 6]] < 50)
+                assert np.all(vals[[0, 2, 3, 6]] < target)
+            for i in range(len(x0)):
+                p1, v1, n1 = nelder_mead_batch(
+                    objective, x0[i:i + 1], max_iters=50, tol=1e-3,
+                    target=target)
+                assert p1[0].tobytes() == pts[i].tobytes()
+                assert v1[0].tobytes() == vals[i].tobytes()
+                assert n1[0] == iters[i]
 
     def test_loose_tolerance_freezes_early(self):
         def objective(p):
@@ -112,6 +119,52 @@ class TestNelderMeadBatch:
         _, _, tight = nelder_mead_batch(objective, x0, max_iters=500, tol=1e-12)
         _, _, loose = nelder_mead_batch(objective, x0, max_iters=500, tol=1e-2)
         assert np.all(loose < tight)
+
+    def test_start_below_target_freezes_at_once(self):
+        def objective(p):
+            return np.sum(p ** 2, axis=1)
+
+        x0 = np.array([[0.0, 0.0, 0.0], [2.0, 2.0, 2.0]])
+        pts, vals, iters = nelder_mead_batch(objective, x0, max_iters=500,
+                                             tol=1e-12, target=1e-6)
+        assert iters[0] == 0 and vals[0] == 0.0
+        assert pts[0].tolist() == [0.0, 0.0, 0.0]
+        assert 0 < iters[1] < 500 and vals[1] < 1e-6
+
+    def test_row_stops_where_it_crosses_target(self):
+        # the stopped row is the untargeted run capped at the same
+        # iteration, the first one whose best value is below target
+        def objective(p):
+            return np.sum(p ** 2, axis=1) + 0.3 * np.sin(3 * p[:, 1])
+
+        x0 = np.full((1, 5), 2.0)
+        target = 1e-3 + objective(np.zeros((1, 5)))[0]
+        pts, vals, (n,) = nelder_mead_batch(objective, x0, max_iters=2000,
+                                            tol=1e-12, target=target)
+        assert vals[0] < target
+        capped = nelder_mead_batch(objective, x0, max_iters=n, tol=1e-12)
+        assert capped[0].tobytes() == pts.tobytes()
+        assert capped[1].tobytes() == vals.tobytes()
+        before = nelder_mead_batch(objective, x0, max_iters=n - 1, tol=1e-12)
+        assert before[1][0] >= target
+        _, free_vals, (free_n,) = nelder_mead_batch(
+            objective, x0, max_iters=2000, tol=1e-12)
+        assert free_n > n and free_vals[0] < vals[0]
+
+    def test_nan_never_freezes_by_target(self):
+        # target = inf freezes every finite row at once; a NaN row runs on
+        # exactly as without a target
+        def objective(p):
+            return np.where(p[:, 0] > 0.0, np.nan, np.sum(p ** 2, axis=1))
+
+        x0 = np.array([[-1.0, 0.5], [1.0, 0.5]])
+        pts, vals, iters = nelder_mead_batch(objective, x0, max_iters=40,
+                                             tol=1e-12, target=math.inf)
+        assert iters.tolist() == [0, 40]
+        free = nelder_mead_batch(objective, x0[1:], max_iters=40, tol=1e-12)
+        assert free[0].tobytes() == pts[1:].tobytes()
+        assert np.isnan(vals[1]) and np.isnan(free[1][0])
+        assert free[2][0] == 40
 
 
 class TestLiveness:

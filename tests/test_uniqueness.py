@@ -13,8 +13,8 @@ from nosig.tolerances import (NEAR_ZERO_RESIDUAL, ORTHO_COLLAPSE,
 from nosig.uniqueness import (_PENALTY, _UNIQUE_GRAMS, PurificationParams,
                               _bc_target, _chart_states, _distance_chart,
                               _e_pair, _grams, _purification, _residual_chart,
-                              _to_chart, build_purification, residual,
-                              theorem2_check, unique_point_params,
+                              _stop_residual, _to_chart, build_purification,
+                              residual, theorem2_check, unique_point_params,
                               uniqueness_scan)
 
 
@@ -356,6 +356,18 @@ class TestChartObjective:
         assert (distance_bound(alpha, NEAR_ZERO_RESIDUAL)
                 <= UNIQUE_DISTANCE) == (cos2 <= 0.98)
 
+    def test_stop_residual_certifies_half_the_unique_distance(self):
+        # a row below the stop lies within UNIQUE_DISTANCE / 2 at every
+        # interior alpha, and the stop never exceeds NEAR_ZERO_RESIDUAL
+        for alpha in np.linspace(1e-5, math.pi / 2 - 1e-5, 2001):
+            stop = _stop_residual(alpha)
+            assert 0.0 < stop <= NEAR_ZERO_RESIDUAL
+            assert distance_bound(alpha, stop) <= UNIQUE_DISTANCE / 2
+        for cos2, want in ((0.5, 1e-8), (0.85, 1e-8), (0.99, 1.25e-9),
+                           (0.9999, 1.25e-11)):
+            assert _stop_residual(math.acos(math.sqrt(cos2))) == \
+                pytest.approx(want, rel=1e-9)
+
     @pytest.mark.parametrize("alpha", [1e-3, math.pi / 2 - 1e-3])
     def test_oracle_near_the_endpoints(self, alpha):
         # one of the weights s^4, c^4 nearly vanishes here
@@ -440,26 +452,36 @@ class TestScan:
         far = vals[vals >= NEAR_ZERO_RESIDUAL]
         assert far.size and rep.next_residual == far.min()
 
-    @pytest.mark.parametrize("cos2", [0.05, 0.5, 0.85, 0.99])
+    @pytest.mark.parametrize("cos2", [0.05, 0.5, 0.85, 0.99, 0.9999])
     def test_near_zero_end_rows_obey_the_distance_bound(self, cos2,
                                                         monkeypatch):
         # 1 - |<x10|x21>| is rounded near 1, so the distance carries about
-        # 1e-16 even where the residual is 1e-33; allow 1e-15 for that
-        ends = []
+        # 1e-16 even where the residual is 1e-33; allow 1e-15 for that.
+        # Every round stops its rows at the scan's stop residual, and the
+        # rows below it sit within UNIQUE_DISTANCE / 2, also at 0.9999,
+        # where NEAR_ZERO_RESIDUAL alone certifies nothing
+        ends, targets = [], []
 
         def recording(objective, x0, **kwargs):
+            targets.append(kwargs["target"])
             ends.append(nelder_mead_batch(objective, x0, **kwargs))
             return ends[-1]
 
         monkeypatch.setattr(uniqueness, "nelder_mead_batch", recording)
         alpha = math.acos(math.sqrt(cos2))
         rep = uniqueness_scan(alpha, n_samples=300, n_local_starts=8, seed=0)
+        assert rep.confirmed
+        assert targets == [rep.stop_residual] * 3
+        assert rep.stop_residual == _stop_residual(alpha)
         x, vals, _ = ends[-1]
         near = vals < NEAR_ZERO_RESIDUAL
         assert np.count_nonzero(near) == rep.near_zero_count > 1
         dist = _distance_chart(x[near])
         assert np.max(dist) == rep.max_distance_near_zero
         assert np.all(dist <= distance_bound(alpha, vals[near]) + 1e-15)
+        stopped = vals < rep.stop_residual
+        assert np.count_nonzero(stopped) > 1
+        assert np.all(_distance_chart(x[stopped]) <= UNIQUE_DISTANCE / 2)
 
     def test_next_residual_without_far_minima(self, monkeypatch):
         def at_zero(objective, x0, **kwargs):
