@@ -29,6 +29,13 @@ confirmed; it ends the rows that reached the unique point, which the
 diameter test would run to max_iters.  The stop is NEAR_ZERO_RESIDUAL
 for 4e-10 <= cos^2(alpha) <= 0.92.
 
+Rows drift into a corner, c0 ~ d0 ~ 1 and x20 ~ x10, where E2 is a small
+remainder scaled to unit length, and crawl to max_iters.  So each round
+starts from _rechart, the chart points of the rows' own E1 and
+orthogonalized E2: there raw E2 is orthogonal to E1 and the chart well
+conditioned.  The residual stays put up to rounding, and confirmed reads
+only the end rows' own values, so the re-chart cannot flip the verdict.
+
 The residual and the distance see the four vectors only through their
 inner products, so the chart quotients out the unitaries on X exactly:
 its frame is the R of a QR of [x10 x11 x20 x21] with a real nonnegative
@@ -215,15 +222,20 @@ def residual(alpha: float, p: PurificationParams) -> UniquenessVerdict:
     return UniquenessVerdict(residual=err, distance_to_unique_point=dist)
 
 
+def _frames(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Chart rows (r, 17) of weights (4, r) and vectors (x, 4, r): the
+    angles, then the frame (module docstring); dependent vectors are fine."""
+    _, r = np.linalg.qr(x.transpose(2, 0, 1))
+    neg = np.diagonal(r, axis1=1, axis2=2).real < 0
+    r = (r * np.where(neg, -1.0, 1.0)[:, :, None]).transpose(0, 2, 1)
+    frame = np.stack([r.real, r.imag], axis=-1).reshape(len(r), -1)
+    return np.hstack([np.arctan2(w[1::2], w[::2]).T, frame[:, _FRAME]])
+
+
 def _to_chart(p: PurificationParams) -> np.ndarray:
-    """The scan-chart row of p: Schmidt angles, then the frame of the
-    vectors, the R of their QR (Householder, so R's diagonal is real; a
-    row with a negative one is negated).  Dependent vectors are fine."""
-    _, r = np.linalg.qr(np.array([p.x10, p.x11, p.x20, p.x21]).T)
-    r = (r * np.where(np.diag(r).real < 0, -1.0, 1.0)[:, None]).T
-    frame = np.stack([r.real, r.imag], axis=-1).ravel()
-    return np.concatenate([[math.atan2(p.c1, p.c0), math.atan2(p.d1, p.d0)],
-                           frame[_FRAME]])
+    """The scan-chart row of p, as a batch of one of _frames."""
+    w = np.array([[p.c0], [p.c1], [p.d0], [p.d1]])
+    return _frames(w, np.array([p.x10, p.x11, p.x20, p.x21]).T[..., None])[0]
 
 
 def _chart_states(chart: np.ndarray):
@@ -246,6 +258,18 @@ def _chart_states(chart: np.ndarray):
     x = vecs / np.where(small, 1.0, n)
     e1, e2, collapsed = _e_blocks(w, x)
     return e1, e2, w[1], x[:, 0], small.any(axis=0) | collapsed
+
+
+def _rechart(chart: np.ndarray) -> np.ndarray:
+    """Each row at the chart point of its own E1 and orthogonalized E2 (a
+    vector of weight 0 becomes e1); bad and non-finite rows are kept."""
+    e1, e2, _, _, bad = _chart_states(chart)
+    blocks = np.concatenate([e1, e2], axis=1)
+    w = np.sqrt(_xsum(_sq(blocks)))
+    x = np.where(w > 0, blocks / np.where(w > 0, w, 1.0),
+                 np.eye(_X_DIM)[:, 1, None, None])
+    keep = bad | ~np.isfinite(chart).all(axis=1)
+    return np.where(keep[:, None], chart, _frames(w, x))
 
 
 def _residual_chart(alpha: float, chart: np.ndarray) -> np.ndarray:
@@ -312,8 +336,8 @@ def uniqueness_scan(alpha: float, n_samples: int = 10000,
     max_iters, stop = 2000, _stop_residual(a)
     for _ in range(3):  # restarted simplex rounds tighten stalled minima
         best, vals, iters = nelder_mead_batch(
-            objective, best, max_iters=max_iters, tol=tol.SCAN_DIAMETER,
-            step=0.1, target=stop)
+            objective, _rechart(best), max_iters=max_iters,
+            tol=tol.SCAN_DIAMETER, step=0.1, target=stop)
     dists = _distance_chart(best)
     k = int(np.argmin(vals))
     near = vals < tol.NEAR_ZERO_RESIDUAL

@@ -153,8 +153,8 @@ def test_criterion_6_marginal_feasibility(capsys):
 
 
 SCAN_REPR_SHA256 = {
-    0.5: "55c1a55b345a84e10d09f194d1252e507681cc008b88dff926cf206c07443fd0",
-    0.85: "99d2b1b52968eb0e3c684a0186837300b98b42330ef4c5e48c50b1c3f85f9ede",
+    0.5: "48e862d90559b10b76aee8d55655f49bbec2ad45a50c96789a493893304d1e42",
+    0.85: "e46fea19dbf3b613ce385512eab34b71472f3bef9fb40eeb377345fa49055834",
 }
 
 
@@ -170,6 +170,10 @@ def test_criterion_7_uniqueness_scan(cos2):
     # value is far above NEAR_ZERO_RESIDUAL
     assert rep.near_zero_count >= 90
     assert rep.next_residual >= 1e-6
+    # every start, the known point included, ends at the unique point, and
+    # none runs to the iteration cap
+    assert rep.near_zero_count == rep.n_local_starts + 1
+    assert rep.n_capped == 0
     assert hashlib.sha256(repr(rep).encode()).hexdigest() == \
         SCAN_REPR_SHA256[cos2]
     _report(7, f"uniqueness scan at cos^2 = {cos2}")

@@ -434,4 +434,4 @@ class TestGoldenDigests:
         argv = ["uniqueness", "--alpha", "0.8", "--samples", "200",
                 "--starts", "4", "--seed", "5"]
         assert self.digest(capsys, argv) == \
-            "7cc923da13492b2fba7963d4d7ff764d571e58af67f1cb62698fd8f1484b42e3"
+            "75653f7e4545da770d97346eecab5f001ebe80d10e776e5f30ae4198b4a36c60"

@@ -12,10 +12,10 @@ from nosig.tolerances import (NEAR_ZERO_RESIDUAL, ORTHO_COLLAPSE,
                               UNIQUE_DISTANCE)
 from nosig.uniqueness import (_PENALTY, _UNIQUE_GRAMS, PurificationParams,
                               _bc_target, _chart_states, _distance_chart,
-                              _e_pair, _grams, _purification, _residual_chart,
-                              _stop_residual, _to_chart, build_purification,
-                              residual, theorem2_check, unique_point_params,
-                              uniqueness_scan)
+                              _e_pair, _grams, _purification, _rechart,
+                              _residual_chart, _stop_residual, _to_chart,
+                              build_purification, residual, theorem2_check,
+                              unique_point_params, uniqueness_scan)
 
 
 def random_params(rng):
@@ -422,6 +422,111 @@ class TestChartObjective:
             assert np.array_equal(batch, single[:rows])
 
 
+class TestRechart:
+    """_rechart puts each row at the chart point of its own effective
+    parameters: the weights and unit vectors of E1 and of the
+    orthogonalized E2."""
+
+    def test_residual_and_distance_invariant(self):
+        rng = np.random.default_rng(83)
+        chart = random_chart(rng, 500)
+        new = _rechart(chart)
+        assert not np.array_equal(new, chart)
+        dist = _distance_chart(chart)
+        assert np.max(np.abs(_distance_chart(new) - dist)) <= 1e-15
+        for alpha in (0.3, math.pi / 4, 1.2):
+            assert np.max(np.abs(_residual_chart(alpha, new)
+                                 - _residual_chart(alpha, chart))) <= 1e-15
+
+    def test_matches_the_oracle_near_collapse(self):
+        # rows just above collapse, and rows in the corner c0 ~ d0 ~ 1,
+        # x20 ~ x10, where the orthogonalized E2 is a remainder of 1e-7 to
+        # 3e-3 scaled to unit length: the re-charted params, through the
+        # partial_trace oracle, give the chart objective and distance of
+        # the re-charted rows and the distance of the original ones
+        rng = np.random.default_rng(84)
+        alpha = 0.6
+        rows = []
+        for _ in range(5):
+            for cols in (slice(2, 5), slice(5, 10), slice(10, 17)):
+                row = _to_chart(random_params(rng))
+                row[cols] *= 2.0 * ORTHO_COLLAPSE
+                rows.append(row)
+        for delta in np.logspace(-9.0, -2.5, 12):
+            row = random_chart(rng, 1)[0]
+            row[:2] = delta * rng.uniform(0.5, 1.0, 2)     # c1, d1 ~ delta
+            row[5:10] = [1.0, 0.0, 0.0, 0.0, 0.0]           # x20 = x10 ...
+            row[5:10] += 1e-7 * rng.standard_normal(5)      # ... nearly
+            rows.append(row)
+        chart = np.array(rows)
+        assert not _chart_states(chart)[4].any()
+        new = _rechart(chart)
+        res, dist = _residual_chart(alpha, new), _distance_chart(new)
+        assert np.max(np.abs(dist - _distance_chart(chart))) <= 1e-12
+        for k, row in enumerate(new):
+            v = residual(alpha, frame_params(row))
+            assert v.residual == pytest.approx(res[k], abs=1e-12)
+            assert v.distance_to_unique_point == \
+                pytest.approx(dist[k], abs=1e-12)
+
+    def test_unique_row_is_a_fixed_point(self):
+        # c1 is exactly 0 there, and a vector of weight 0 becomes e1 = x11
+        row = _to_chart(unique_point_params())[None]
+        assert np.array_equal(_rechart(row), row)
+
+    def test_second_rechart_stays_put(self):
+        rng = np.random.default_rng(85)
+        once = _rechart(random_chart(rng, 500))
+        assert np.max(np.abs(_rechart(once) - once)) <= 1e-14
+
+    def test_batch_rows_independent(self):
+        rng = np.random.default_rng(86)
+        chart = random_chart(rng, 300)
+        single = np.array([_rechart(chart[k:k + 1])[0]
+                           for k in range(len(chart))])
+        for rows in (7, 34, 300):
+            assert np.array_equal(_rechart(chart[:rows]), single[:rows])
+
+    def test_bad_and_non_finite_rows_kept(self):
+        rng = np.random.default_rng(87)
+        chart = random_chart(rng, 5)
+        chart[0, 2:5] = 0.0                      # x11 = 0
+        chart[1, 1] = chart[1, 0]                # E2 = E1: collapses
+        chart[1, 5:10] = [1.0, 0.0, 0.0, 0.0, 0.0]
+        chart[1, 10:17] = np.append(chart[1, 2:5], np.zeros(4))
+        chart[2, 7] = math.nan
+        chart[3, 12] = math.inf
+        with np.errstate(invalid="ignore"):
+            bad = _chart_states(chart)[4]
+            new = _rechart(chart)
+        assert bad[:2].all()
+        assert np.array_equal(new[:4], chart[:4], equal_nan=True)
+        assert np.array_equal(new[4], _rechart(chart[4:])[0])
+        assert not np.array_equal(new[4], chart[4])
+
+    def test_each_round_starts_from_the_rechart(self, monkeypatch):
+        recharts, rounds = [], []
+
+        def rechart(chart):
+            recharts.append((chart, _rechart(chart)))
+            return recharts[-1][1]
+
+        def recording(objective, x0, **kwargs):
+            rounds.append((x0, nelder_mead_batch(objective, x0, **kwargs)))
+            return rounds[-1][1]
+
+        monkeypatch.setattr(uniqueness, "_rechart", rechart)
+        monkeypatch.setattr(uniqueness, "nelder_mead_batch", recording)
+        uniqueness_scan(0.7, n_samples=200, n_local_starts=8, seed=4)
+        assert len(recharts) == len(rounds) == 3
+        assert np.array_equal(recharts[0][0][0],
+                              _to_chart(unique_point_params()))
+        for k, (x0, _) in enumerate(rounds):
+            assert np.array_equal(x0, recharts[k][1])
+            if k:
+                assert np.array_equal(recharts[k][0], rounds[k - 1][1][0])
+
+
 class TestScan:
     def test_small_scan_confirms(self):
         rep = uniqueness_scan(math.pi / 4, n_samples=300, n_local_starts=8,
@@ -434,17 +539,21 @@ class TestScan:
 
     def test_capped_rows_and_next_residual(self, monkeypatch):
         # both come from the last simplex round: iters >= max_iters, and
-        # the smallest end value outside the near-zero set
+        # the smallest end value outside the near-zero set.  Since every
+        # round starts from re-charted rows no small shape leaves a capped
+        # or far row, so the last round hands back one far row at max_iters
         rounds = []
 
         def recording(objective, x0, **kwargs):
-            out = nelder_mead_batch(objective, x0, **kwargs)
-            rounds.append((out, kwargs["max_iters"]))
-            return out
+            x, vals, iters = nelder_mead_batch(objective, x0, **kwargs)
+            if len(rounds) == 2:
+                x[1] = random_chart(np.random.default_rng(88), 1)[0]
+                vals[1] = objective(x[1:2])[0]
+                iters[1] = kwargs["max_iters"]
+            rounds.append(((x, vals, iters), kwargs["max_iters"]))
+            return x, vals, iters
 
         monkeypatch.setattr(uniqueness, "nelder_mead_batch", recording)
-        # a shape whose end rows include capped and far ones (at seed 3
-        # with 6 starts every start reaches the near-zero set)
         rep = uniqueness_scan(0.7, n_samples=200, n_local_starts=8, seed=4)
         (_, vals, iters), max_iters = rounds[-1]
         assert len(rounds) == 3
