@@ -115,11 +115,12 @@ def _live(xa: np.ndarray, centroid: np.ndarray, tol: float) -> np.ndarray:
 
 
 def nelder_mead_batch(objective, x0: np.ndarray, *, max_iters: int,
-                      tol: float, step: float = _SIMPLEX_STEP,
+                      tol: float, step: float | np.ndarray = _SIMPLEX_STEP,
                       target: float | None = None):
     """Minimize objective over a batch of starts advanced in lockstep.
 
-    objective maps an (N, d) array to (N,) values; x0 is (R, d).  Returns
+    objective maps an (N, d) array to (N,) values; x0 is (R, d), and
+    step, the initial simplex edge, is a scalar or one per row.  Returns
     (best points (R, d), best values (R,), iterations used (R,)).  A row
     freezes once its simplex diameter (max-norm) drops below tol, or,
     when target is given, once its best value is below target (a NaN

@@ -36,6 +36,12 @@ orthogonalized E2: there raw E2 is orthogonal to E1 and the chart well
 conditioned.  The residual stays put up to rounding, and confirmed reads
 only the end rows' own values, so the re-chart cannot flip the verdict.
 
+In 17 dimensions the simplex flattens long before a row reaches the stop,
+so rounds 0 and 1 are short, and rounds 1 and 2 restart each row at its
+certified scale: step min(0.1, _distance_bound(alpha, r)) for its last
+value r, which by the bound reaches the unique point.  The step only sets
+where a round starts, so it cannot flip the verdict either.
+
 The residual and the distance see the four vectors only through their
 inner products, so the chart quotients out the unitaries on X exactly:
 its frame is the R of a QR of [x10 x11 x20 x21] with a real nonnegative
@@ -69,6 +75,9 @@ _X_DIM = 4
 _CHART_DIM = 2 + 3 + 5 + 7  # two Schmidt angles + the frame of x11, x20, x21
 _FRAME = np.r_[8:11, 16:21, 24:31]  # their slots in (vector, x, re/im) order
 _PENALTY = 10.0
+# rounds 0 and 1 end where a 17-dim simplex has flattened; round 2 finishes
+# the rows.  6000 iterations per row in all, as with three rounds of 2000
+_ROUND_ITERS = (500, 500, 5000)
 
 
 @dataclass(frozen=True)
@@ -152,8 +161,9 @@ def _e_blocks(w: np.ndarray, x: np.ndarray):
     """
     blocks = w * x
     e1, e2 = blocks[:, :2], blocks[:, 2:]
-    ip = _xsum(e1.conj() * e2)
-    e2 = e2 - (ip[0] + ip[1]) * e1
+    for _ in range(2):  # twice is enough (Kahan) for a remainder near 0
+        ip = _xsum(e1.conj() * e2)
+        e2 = e2 - (ip[0] + ip[1]) * e1
     n2 = _xsum(_sq(e2))
     norms = np.sqrt(n2[0] + n2[1])
     bad = norms < tol.ORTHO_COLLAPSE
@@ -289,6 +299,13 @@ def _residual_chart(alpha: float, chart: np.ndarray) -> np.ndarray:
     return np.where(bad, _PENALTY, out)
 
 
+def _distance_bound(alpha: float, r):
+    """max(sqrt(2r)/s, r/(s c)): residual r puts a row at most this far
+    from the unique point (module docstring); NaN stays NaN."""
+    s, c = math.sin(alpha), math.cos(alpha)
+    return np.maximum(np.sqrt(2.0 * r) / s, r / (s * c))
+
+
 def _stop_residual(alpha: float) -> float:
     """The residual below which a scan row stops: by the distance bound
     it puts the row within UNIQUE_DISTANCE / 2 of the unique point, and it
@@ -333,11 +350,12 @@ def uniqueness_scan(alpha: float, n_samples: int = 10000,
     order = np.argsort(res, kind="stable")[:n_local_starts]
     best = np.vstack([_to_chart(unique_point_params()), chart[order]])
 
-    max_iters, stop = 2000, _stop_residual(a)
-    for _ in range(3):  # restarted simplex rounds tighten stalled minima
+    stop, step = _stop_residual(a), 0.1
+    for max_iters in _ROUND_ITERS:  # restarts unflatten stalled simplices
         best, vals, iters = nelder_mead_batch(
             objective, _rechart(best), max_iters=max_iters,
-            tol=tol.SCAN_DIAMETER, step=0.1, target=stop)
+            tol=tol.SCAN_DIAMETER, step=step, target=stop)
+        step = np.fmin(0.1, _distance_bound(a, vals))
     dists = _distance_chart(best)
     k = int(np.argmin(vals))
     near = vals < tol.NEAR_ZERO_RESIDUAL

@@ -153,8 +153,8 @@ def test_criterion_6_marginal_feasibility(capsys):
 
 
 SCAN_REPR_SHA256 = {
-    0.5: "48e862d90559b10b76aee8d55655f49bbec2ad45a50c96789a493893304d1e42",
-    0.85: "e46fea19dbf3b613ce385512eab34b71472f3bef9fb40eeb377345fa49055834",
+    0.5: "1fb72a0529ed1189ef1a5ec57394048aafebfb67580f877effd11e1a1c908dad",
+    0.85: "5366c05b0e438dbbd4fd4ddd2799c02a09b16664bdeb5f0cbb780ee27c890685",
 }
 
 

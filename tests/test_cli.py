@@ -434,4 +434,4 @@ class TestGoldenDigests:
         argv = ["uniqueness", "--alpha", "0.8", "--samples", "200",
                 "--starts", "4", "--seed", "5"]
         assert self.digest(capsys, argv) == \
-            "75653f7e4545da770d97346eecab5f001ebe80d10e776e5f30ae4198b4a36c60"
+            "99287e825eb6b84c34b11041e24daab909c3d0cca4b50fa7a8819becad382fba"

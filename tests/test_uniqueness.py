@@ -10,9 +10,10 @@ from nosig.optimizer import nelder_mead_batch
 from nosig.states import psi1, psi2, rho_ab_analytic, rho_ac_analytic
 from nosig.tolerances import (NEAR_ZERO_RESIDUAL, ORTHO_COLLAPSE,
                               UNIQUE_DISTANCE)
-from nosig.uniqueness import (_PENALTY, _UNIQUE_GRAMS, PurificationParams,
-                              _bc_target, _chart_states, _distance_chart,
-                              _e_pair, _grams, _purification, _rechart,
+from nosig.uniqueness import (_PENALTY, _ROUND_ITERS, _UNIQUE_GRAMS,
+                              PurificationParams, _bc_target, _chart_states,
+                              _distance_bound, _distance_chart, _e_pair,
+                              _grams, _purification, _rechart,
                               _residual_chart, _stop_residual, _to_chart,
                               build_purification, residual, theorem2_check,
                               unique_point_params, uniqueness_scan)
@@ -210,12 +211,6 @@ def frame_params(row):
         x10=x10, x11=x11, x20=x20, x21=x21)
 
 
-def distance_bound(alpha, r):
-    """max(sqrt(2r)/s, r/(s c)), the module docstring's distance bound."""
-    s, c = math.sin(alpha), math.cos(alpha)
-    return np.maximum(np.sqrt(2.0 * r) / s, r / (s * c))
-
-
 class TestChartObjective:
     ALPHAS = (1e-3, 0.3, 0.7, math.pi / 4, 1.1, math.pi / 2 - 1e-3)
 
@@ -344,16 +339,16 @@ class TestChartObjective:
         r = _residual_chart(alpha, rows)
         dist = _distance_chart(rows)
         assert np.all(r != _PENALTY)
-        assert np.all(dist <= distance_bound(alpha, r))
+        assert np.all(dist <= _distance_bound(alpha, r))
         for k in range(0, len(rows), 200):
             v = residual(alpha, frame_params(rows[k]))
             assert v.residual == pytest.approx(r[k], abs=1e-12)
             assert v.distance_to_unique_point == \
                 pytest.approx(dist[k], abs=1e-12)
             assert v.distance_to_unique_point <= \
-                distance_bound(alpha, v.residual)
+                _distance_bound(alpha, v.residual)
         # r < NEAR_ZERO_RESIDUAL forces the verdict up to cos^2 = 0.98
-        assert (distance_bound(alpha, NEAR_ZERO_RESIDUAL)
+        assert (_distance_bound(alpha, NEAR_ZERO_RESIDUAL)
                 <= UNIQUE_DISTANCE) == (cos2 <= 0.98)
 
     def test_stop_residual_certifies_half_the_unique_distance(self):
@@ -362,7 +357,7 @@ class TestChartObjective:
         for alpha in np.linspace(1e-5, math.pi / 2 - 1e-5, 2001):
             stop = _stop_residual(alpha)
             assert 0.0 < stop <= NEAR_ZERO_RESIDUAL
-            assert distance_bound(alpha, stop) <= UNIQUE_DISTANCE / 2
+            assert _distance_bound(alpha, stop) <= UNIQUE_DISTANCE / 2
         for cos2, want in ((0.5, 1e-8), (0.85, 1e-8), (0.99, 1.25e-9),
                            (0.9999, 1.25e-11)):
             assert _stop_residual(math.acos(math.sqrt(cos2))) == \
@@ -443,7 +438,9 @@ class TestRechart:
         # x20 ~ x10, where the orthogonalized E2 is a remainder of 1e-7 to
         # 3e-3 scaled to unit length: the re-charted params, through the
         # partial_trace oracle, give the chart objective and distance of
-        # the re-charted rows and the distance of the original ones
+        # the re-charted rows and the distance of the original ones.  E2 is
+        # orthogonalized twice, so the re-chart keeps the residual to
+        # rounding and a second re-chart stays put, in the corner too
         rng = np.random.default_rng(84)
         alpha = 0.6
         rows = []
@@ -463,6 +460,8 @@ class TestRechart:
         new = _rechart(chart)
         res, dist = _residual_chart(alpha, new), _distance_chart(new)
         assert np.max(np.abs(dist - _distance_chart(chart))) <= 1e-12
+        assert np.max(np.abs(res - _residual_chart(alpha, chart))) <= 1e-15
+        assert np.max(np.abs(_rechart(new) - new)) <= 1e-13
         for k, row in enumerate(new):
             v = residual(alpha, frame_params(row))
             assert v.residual == pytest.approx(res[k], abs=1e-12)
@@ -537,6 +536,30 @@ class TestScan:
         assert rep.near_zero_count >= 1
         assert rep.max_distance_near_zero <= 1e-3
 
+    def test_rounds_restart_at_the_certified_scale(self, monkeypatch):
+        # round 0 starts at step 0.1; rounds 1 and 2 start each row at the
+        # distance bound of its previous end value, never above 0.1, and
+        # the short first rounds leave 6000 iterations per row in all
+        rounds = []
+
+        def recording(objective, x0, **kwargs):
+            rounds.append((kwargs, nelder_mead_batch(objective, x0,
+                                                     **kwargs)))
+            return rounds[-1][1]
+
+        monkeypatch.setattr(uniqueness, "nelder_mead_batch", recording)
+        alpha = 0.7
+        uniqueness_scan(alpha, n_samples=200, n_local_starts=8, seed=4)
+        assert [kw["max_iters"] for kw, _ in rounds] == list(_ROUND_ITERS) \
+            == [500, 500, 5000]
+        assert rounds[0][0]["step"] == 0.1
+        for (kw, _), (_, (_, vals, _)) in zip(rounds[1:], rounds):
+            want = np.fmin(0.1, _distance_bound(alpha, vals))
+            assert kw["step"].shape == vals.shape == (9,)
+            assert np.array_equal(kw["step"], want)
+            assert np.all(kw["step"] <= 0.1)
+            assert np.any(kw["step"] < 0.1)
+
     def test_capped_rows_and_next_residual(self, monkeypatch):
         # both come from the last simplex round: iters >= max_iters, and
         # the smallest end value outside the near-zero set.  Since every
@@ -587,7 +610,7 @@ class TestScan:
         assert np.count_nonzero(near) == rep.near_zero_count > 1
         dist = _distance_chart(x[near])
         assert np.max(dist) == rep.max_distance_near_zero
-        assert np.all(dist <= distance_bound(alpha, vals[near]) + 1e-15)
+        assert np.all(dist <= _distance_bound(alpha, vals[near]) + 1e-15)
         stopped = vals < rep.stop_residual
         assert np.count_nonzero(stopped) > 1
         assert np.all(_distance_chart(x[stopped]) <= UNIQUE_DISTANCE / 2)
