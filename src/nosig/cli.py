@@ -211,6 +211,8 @@ def _cmd_uniqueness(args) -> int:
     print(f"capped / next     : {rep.n_capped} rows at max_iters, "
           f"next residual {rep.next_residual:.6e}")
     print(f"stop residual     : {rep.stop_residual:.6e}")
+    print(f"least squares     : {rep.n_least_squares} of "
+          f"{rep.n_local_starts + 1} rows below the stop")
     if rep.confirmed:
         print("CONFIRMED: every exact-marginal point sits at the unique "
               "purification")

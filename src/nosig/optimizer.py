@@ -25,6 +25,10 @@ distance bound settles its verdict); the sweep passes none, as its
 bounds have no floor to stop at.
 The diameter test tries the worst vertex first, and the objective sees
 at most 1000 rows per call.
+levenberg_marquardt_batch is the least-squares counterpart, with the
+same lockstep rows, block calls and target freeze.  The scan runs it
+before its simplex rounds, which finish the rows it leaves near the
+scan's singular zero, where Gauss-Newton steps only crawl.
 
 Determinism: restart r of grid point i in a direction draws from the
 private stream of entropy seed and spawn key (i, direction, r), so runs
@@ -47,6 +51,10 @@ from .states import _check_alpha
 from .tolerances import SIMPLEX_DIAMETER
 
 _SIMPLEX_STEP = 0.3
+_DIFF_STEP = 1e-7  # forward differences: about sqrt(eps) on O(1) coordinates
+_DAMPING = 1e-3  # Marquardt's first lambda: a nearly Gauss-Newton first step
+# lambda stays in here, so lambda * max diag(J^T J) stays positive and finite
+_DAMPING_RANGE = (1e-20, 1e20)
 _BLOCK_ROWS = 1000  # largest batch one objective call sees
 # Stream spawn keys: (grid_index, direction, restart) per sweep restart,
 # (_SCAN,) for the uniqueness scan.  Directions also index
@@ -180,6 +188,51 @@ def nelder_mead_batch(objective, x0: np.ndarray, *, max_iters: int,
         iters[idx] += 1
 
     return x[rank[:, 0]], f[rank[:, 0]], iters
+
+
+def levenberg_marquardt_batch(residuals, x0: np.ndarray, *, max_iters: int,
+                              target: float):
+    """Minimize ||residuals(x)|| over a batch of starts advanced in lockstep.
+
+    residuals maps an (N, d) array to (N, m) residual vectors; x0 is
+    (R, d).  Returns (points (R, d), residual norms (R,), iterations used
+    (R,)).  Each iteration takes a forward-difference Jacobian J of the
+    live rows, all d shifted copies of them in one call, and solves
+    (J^T J + lambda max diag(J^T J) I) delta = -J^T r per row.  A row
+    moves only if its sum of squares falls, a NaN one never counting as
+    lower, and its lambda is then scaled by 0.3, else by 10 (Marquardt).
+    A row freezes once its norm is below target (a NaN norm never is).
+    """
+    x = np.array(x0, dtype=float)
+    r, d = x.shape
+    res = _in_blocks(residuals, x)
+    cost = np.sum(res * res, axis=1)
+    lam = np.full(r, _DAMPING)
+    iters = np.zeros(r, dtype=int)
+    idx = np.arange(r)  # live rows
+    eye = np.eye(d)
+    for k in range(max_iters + 1):
+        idx = idx[~(np.sqrt(cost[idx]) < target)]
+        if idx.size == 0 or k == max_iters:
+            break
+        n, xl, rl = idx.size, x[idx], res[idx]
+        shifted = (xl[:, None, :] + _DIFF_STEP * eye).reshape(n * d, d)
+        jt = (_in_blocks(residuals, shifted).reshape(n, d, -1)
+              - rl[:, None, :]) / _DIFF_STEP  # J transposed, (n, d, m)
+        jtj = jt @ jt.transpose(0, 2, 1)
+        top = np.max(np.diagonal(jtj, axis1=1, axis2=2), axis=1)
+        damp = lam[idx] * np.where(top > 0.0, top, 1.0)
+        delta = np.linalg.solve(jtj + damp[:, None, None] * eye,
+                                -(jt @ rl[:, :, None]))[..., 0]
+        xt = xl + delta
+        rt = _in_blocks(residuals, xt)
+        ct = np.sum(rt * rt, axis=1)
+        ok = ct < cost[idx]
+        x[idx[ok]], res[idx[ok]], cost[idx[ok]] = xt[ok], rt[ok], ct[ok]
+        lam[idx] = np.clip(lam[idx] * np.where(ok, 0.3, 10.0),
+                           *_DAMPING_RANGE)
+        iters[idx] += 1
+    return x, np.sqrt(cost), iters
 
 
 def _is_count(n, floor: int) -> bool:

@@ -19,28 +19,37 @@ distance to the unique point at most max(sqrt(2r)/s, r/(s c)), so r <
 NEAR_ZERO_RESIDUAL implies a distance below UNIQUE_DISTANCE whenever
 1e-10 <= cos^2(alpha) <= 0.98.  The scan looks for chart points whose
 residual vanishes far from there; finding none checks the argument.
+So the residual is the norm of 32 real terms, re and im of s^2/2 D11,
+s^2/2 D22, c^2/2 (D11 + D22) and s c D12 (_terms): a least-squares
+problem in the 17 chart coordinates.
 
-Each Nelder-Mead round also stops a row once its residual is below
-_stop_residual(alpha) = min(NEAR_ZERO_RESIDUAL, (s UNIQUE_DISTANCE)^2 / 8,
-s c UNIQUE_DISTANCE / 2).  By the bound such a row lies within
-UNIQUE_DISTANCE / 2 of the unique point at any interior alpha, and more
-iterations could only lower its residual, so the stop cannot flip
-confirmed; it ends the rows that reached the unique point, which the
-diameter test would run to max_iters.  The stop is NEAR_ZERO_RESIDUAL
-for 4e-10 <= cos^2(alpha) <= 0.92.
+The scan stops a row once its residual is below _stop_residual(alpha) =
+min(NEAR_ZERO_RESIDUAL, (s UNIQUE_DISTANCE)^2 / 8, s c UNIQUE_DISTANCE /
+2).  By the bound such a row lies within UNIQUE_DISTANCE / 2 of the
+unique point at any interior alpha, and more iterations could only lower
+its residual, so the stop cannot flip confirmed; it ends the rows that
+reached the unique point, which a diameter test would run to max_iters.
+The stop is NEAR_ZERO_RESIDUAL for 4e-10 <= cos^2(alpha) <= 0.92.
+
+The starts first take a batched Levenberg-Marquardt descent on the 32
+terms, which brings most rows below the stop in about 15 iterations.
+The zero is singular: by the sqrt(2r)/s term of the bound the residual
+grows quadratically along some directions, where Gauss-Newton crawls.
+So three Nelder-Mead rounds finish the rows the descent left above the
+stop.  In 17 dimensions their simplex flattens long before a row reaches
+the stop, so rounds 0 and 1 are short, and every round starts each row
+at its certified scale: step min(0.1, _distance_bound(alpha, r)) for its
+value r at the end of the previous stage, which by the bound reaches the
+unique point.  The descent and the step only set where a round starts,
+and confirmed reads only the end rows' own residuals and distances, so
+neither can flip the verdict.
 
 Rows drift into a corner, c0 ~ d0 ~ 1 and x20 ~ x10, where E2 is a small
-remainder scaled to unit length, and crawl to max_iters.  So each round
-starts from _rechart, the chart points of the rows' own E1 and
-orthogonalized E2: there raw E2 is orthogonal to E1 and the chart well
-conditioned.  The residual stays put up to rounding, and confirmed reads
-only the end rows' own values, so the re-chart cannot flip the verdict.
-
-In 17 dimensions the simplex flattens long before a row reaches the stop,
-so rounds 0 and 1 are short, and rounds 1 and 2 restart each row at its
-certified scale: step min(0.1, _distance_bound(alpha, r)) for its last
-value r, which by the bound reaches the unique point.  The step only sets
-where a round starts, so it cannot flip the verdict either.
+remainder scaled to unit length, and crawl to max_iters.  So the descent
+and each round start from _rechart, the chart points of the rows' own E1
+and orthogonalized E2: there raw E2 is orthogonal to E1 and the chart
+well conditioned.  The residual stays put up to rounding, so the
+re-chart cannot flip the verdict either.
 
 The residual and the distance see the four vectors only through their
 inner products, so the chart quotients out the unitaries on X exactly:
@@ -51,9 +60,10 @@ the last of each vector re only: 3 + 5 + 7 coordinates, each vector
 normalized on decode.  It is written once, batched over rows with the
 row axis last; the single-point functions use it as batches of one, and
 residual(alpha, p).distance_to_unique_point is the one per-point distance.
-The scan objective is the closed form above and never builds the state.
-residual() traces out A and X of the full state with partial_trace, so it
-stays an independent check of that identity.
+The scan's objective and least-squares terms are the closed form above
+and never build the state.  residual() traces out A and X of the full
+state with partial_trace, so it stays an independent check of that
+identity.
 """
 
 from __future__ import annotations
@@ -67,7 +77,7 @@ from . import tolerances as tol
 from .correlations import horodecki_chsh_max
 from .errors import DegenerateInputError, InvalidInputError
 from .optimizer import _SCAN, _check_seed, _in_blocks, _is_count, _stream, \
-    nelder_mead_batch
+    levenberg_marquardt_batch, nelder_mead_batch
 from .qlinalg import partial_trace
 from .states import _check_alpha, psi1, psi2, rho_ab_analytic, rho_ac_analytic
 
@@ -78,6 +88,9 @@ _PENALTY = 10.0
 # rounds 0 and 1 end where a 17-dim simplex has flattened; round 2 finishes
 # the rows.  6000 iterations per row in all, as with three rounds of 2000
 _ROUND_ITERS = (500, 500, 5000)
+# least squares takes most rows below the stop in about 15 iterations and
+# then only crawls into the singular zero, which the rounds finish
+_LM_ITERS = 25
 
 
 @dataclass(frozen=True)
@@ -133,6 +146,7 @@ class UniquenessScanReport:
     next_residual: float
     stop_residual: float
     confirmed: bool
+    n_least_squares: int = 0  # rows below stop_residual after least squares
 
 
 def unique_point_params() -> PurificationParams:
@@ -282,21 +296,33 @@ def _rechart(chart: np.ndarray) -> np.ndarray:
     return np.where(keep[:, None], chart, _frames(w, x))
 
 
-def _residual_chart(alpha: float, chart: np.ndarray) -> np.ndarray:
-    """Batched scan objective: the closed-form Frobenius error of the B-C
-    marginal (module docstring), penalized when degenerate."""
+def _terms(alpha: float, chart: np.ndarray):
+    """The residual's 32 real terms as (32, r), rows last, and bad: re and
+    im of s^2/2 D11, s^2/2 D22, c^2/2 (D11 + D22) and s c D12, whose
+    squares sum to the residual squared (module docstring)."""
     e1, e2, _, _, bad = _chart_states(chart)
     d11, d22, d12 = (g - g0 for g, g0 in zip(_grams(e1, e2), _UNIQUE_GRAMS))
+    s, c = math.sin(alpha), math.cos(alpha)
+    z = np.stack([0.5 * s * s * d11, 0.5 * s * s * d22,
+                  0.5 * c * c * (d11 + d22), s * c * d12])
+    return np.concatenate([z.real, z.imag]).reshape(32, -1), bad
 
-    def norm2(d):
-        q = _sq(d)
-        return q[0, 0] + q[0, 1] + q[1, 0] + q[1, 1]
 
-    s2, c2 = math.sin(alpha) ** 2, math.cos(alpha) ** 2
-    out = 0.5 * np.sqrt(s2 * s2 * (norm2(d11) + norm2(d22))
-                        + c2 * c2 * norm2(d11 + d22)
-                        + 4.0 * s2 * c2 * norm2(d12))
-    return np.where(bad, _PENALTY, out)
+def _residual_terms(alpha: float, chart: np.ndarray) -> np.ndarray:
+    """The scan's least-squares residuals: the 32 terms as (r, 32), NaN on
+    degenerate rows, so a solver never accepts them."""
+    t, bad = _terms(alpha, chart)
+    return np.ascontiguousarray(np.where(bad, np.nan, t).T)
+
+
+def _residual_chart(alpha: float, chart: np.ndarray) -> np.ndarray:
+    """Batched scan objective: the closed-form Frobenius error of the B-C
+    marginal, the norm of the 32 terms, penalized when degenerate."""
+    t, bad = _terms(alpha, chart)
+    q = t * t
+    while len(q) > 1:  # halving sums, in one order for any row count
+        q = q[:len(q) // 2] + q[len(q) // 2:]
+    return np.where(bad, _PENALTY, np.sqrt(q[0]))
 
 
 def _distance_bound(alpha: float, r):
@@ -350,12 +376,16 @@ def uniqueness_scan(alpha: float, n_samples: int = 10000,
     order = np.argsort(res, kind="stable")[:n_local_starts]
     best = np.vstack([_to_chart(unique_point_params()), chart[order]])
 
-    stop, step = _stop_residual(a), 0.1
+    stop = _stop_residual(a)
+    best, vals, _ = levenberg_marquardt_batch(
+        lambda points: _residual_terms(a, points), _rechart(best),
+        max_iters=_LM_ITERS, target=stop)
+    n_least_squares = int(np.count_nonzero(vals < stop))
     for max_iters in _ROUND_ITERS:  # restarts unflatten stalled simplices
         best, vals, iters = nelder_mead_batch(
             objective, _rechart(best), max_iters=max_iters,
-            tol=tol.SCAN_DIAMETER, step=step, target=stop)
-        step = np.fmin(0.1, _distance_bound(a, vals))
+            tol=tol.SCAN_DIAMETER, target=stop,
+            step=np.fmin(0.1, _distance_bound(a, vals)))
     dists = _distance_chart(best)
     k = int(np.argmin(vals))
     near = vals < tol.NEAR_ZERO_RESIDUAL
@@ -370,7 +400,8 @@ def uniqueness_scan(alpha: float, n_samples: int = 10000,
         next_residual=float(np.min(vals[~near], initial=np.inf)),
         stop_residual=stop,
         confirmed=bool(np.any(near)
-                       and max_dist_near < tol.UNIQUE_DISTANCE))
+                       and max_dist_near < tol.UNIQUE_DISTANCE),
+        n_least_squares=n_least_squares)
 
 
 @dataclass(frozen=True)

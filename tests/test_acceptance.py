@@ -153,8 +153,8 @@ def test_criterion_6_marginal_feasibility(capsys):
 
 
 SCAN_REPR_SHA256 = {
-    0.5: "1fb72a0529ed1189ef1a5ec57394048aafebfb67580f877effd11e1a1c908dad",
-    0.85: "5366c05b0e438dbbd4fd4ddd2799c02a09b16664bdeb5f0cbb780ee27c890685",
+    0.5: "ba49ea121e1e0084402730fcbe28faae2a02f9b62d01f56d357c6ebcafb9a1bf",
+    0.85: "3a0ecad1d3e012279acabcfa3661f809fa192ebab1588f78b8f396e0cec405da",
 }
 
 

@@ -434,4 +434,4 @@ class TestGoldenDigests:
         argv = ["uniqueness", "--alpha", "0.8", "--samples", "200",
                 "--starts", "4", "--seed", "5"]
         assert self.digest(capsys, argv) == \
-            "99287e825eb6b84c34b11041e24daab909c3d0cca4b50fa7a8819becad382fba"
+            "e0cd82f75ad73374ec5fd1e3ad7a71cd706dcdbb05b8054832ac7e4ad6e8d7f0"

@@ -8,8 +8,8 @@ from nosig.bounds import family_chsh_bounds
 from nosig.errors import InvalidInputError
 from nosig.optimizer import (_BLOCK_ROWS, _LOWER, _SIMPLEX_STEP, _UPPER,
                              OptimizerConfig, _in_blocks, _live, _starts,
-                             maximize_chsh_lower, minimize_chsh_upper,
-                             nelder_mead_batch, sweep)
+                             levenberg_marquardt_batch, maximize_chsh_lower,
+                             minimize_chsh_upper, nelder_mead_batch, sweep)
 
 FAST = OptimizerConfig(restarts=20, max_iters=2000, tol=1e-10, seed=7)
 
@@ -171,6 +171,77 @@ class TestNelderMeadBatch:
         assert free[0].tobytes() == pts[1:].tobytes()
         assert np.isnan(vals[1]) and np.isnan(free[1][0])
         assert free[2][0] == 40
+
+
+def rosenbrock(p):
+    # Rosenbrock's valley as residuals; its zero is (1, 1)
+    return np.stack([10.0 * (p[:, 1] - p[:, 0] ** 2), 1.0 - p[:, 0]], axis=1)
+
+
+class TestLevenbergMarquardtBatch:
+    def test_rosenbrock_reaches_its_zero(self):
+        pts, vals, iters = levenberg_marquardt_batch(
+            rosenbrock, np.array([[-1.2, 1.0]]), max_iters=200, target=1e-10)
+        assert vals[0] < 1e-10 and 0 < iters[0] < 200
+        assert np.allclose(pts[0], [1.0, 1.0], atol=1e-9)
+        assert vals[0] == np.linalg.norm(rosenbrock(pts)[0])
+
+    def test_rows_independent_of_batch(self):
+        # rows starting on the plateau p2 > 5 never reach target and run
+        # to max_iters; the others stop in Rosenbrock's valley.  Each row
+        # equals its own run alone bit for bit
+        def residuals(p):
+            return np.column_stack([rosenbrock(p), np.sin(p[:, 2]),
+                                    np.where(p[:, 2] > 5.0, 1.0, 0.0)])
+
+        x0 = np.random.default_rng(5).normal(0.0, 1.0, (9, 3))
+        x0[[1, 4, 5], 2] = 10.0
+        pts, vals, iters = levenberg_marquardt_batch(
+            residuals, x0, max_iters=30, target=1e-9)
+        assert np.all(iters[[1, 4, 5]] == 30) and np.all(vals[[1, 4, 5]] >= 1)
+        assert np.all(iters[[0, 2, 3, 6, 7, 8]] < 30)
+        for i in range(len(x0)):
+            p1, v1, n1 = levenberg_marquardt_batch(
+                residuals, x0[i:i + 1], max_iters=30, target=1e-9)
+            assert p1[0].tobytes() == pts[i].tobytes()
+            assert v1[0].tobytes() == vals[i].tobytes()
+            assert n1[0] == iters[i]
+
+    def test_start_below_target_freezes_at_once(self):
+        x0 = np.array([[1.0, 1.0], [-1.2, 1.0]])
+        pts, vals, iters = levenberg_marquardt_batch(
+            rosenbrock, x0, max_iters=200, target=1e-6)
+        assert iters[0] == 0 and vals[0] == 0.0
+        assert pts[0].tolist() == [1.0, 1.0]
+        assert 0 < iters[1] < 200 and vals[1] < 1e-6
+
+    def test_cost_never_rises(self):
+        # a row moves only when its sum of squares falls
+        x0 = np.random.default_rng(6).normal(0.0, 2.0, (5, 2))
+        h = np.array([levenberg_marquardt_batch(
+            rosenbrock, x0, max_iters=k, target=0.0)[1] for k in range(12)])
+        assert np.all(np.diff(h, axis=0) <= 0.0)
+        assert np.all(h[-1] < h[0])
+
+    def test_nan_never_accepted_nor_frozen(self):
+        # target = inf freezes every finite row at once; a NaN row runs to
+        # max_iters where it started, its lambda rising 400 times without
+        # overflow.  A row whose zero (x = 2) lies in the NaN region
+        # (x >= 1) never steps into it and ends below x = 1
+        def residuals(p):
+            return np.where(p[:, :1] < 1.0, p[:, :1] - 2.0, np.nan)
+
+        x0 = np.array([[0.0], [1.5]])
+        pts, vals, iters = levenberg_marquardt_batch(
+            residuals, x0, max_iters=400, target=math.inf)
+        assert iters.tolist() == [0, 400]
+        assert pts.tobytes() == x0.tobytes()
+        assert vals[0] == 2.0 and np.isnan(vals[1])
+        pts, vals, iters = levenberg_marquardt_batch(
+            residuals, x0, max_iters=40, target=0.0)
+        assert iters.tolist() == [40, 40]
+        assert 0.9 < pts[0, 0] < 1.0 and 1.0 < vals[0] < 1.1
+        assert pts[1, 0] == 1.5 and np.isnan(vals[1])
 
 
 class TestLiveness:

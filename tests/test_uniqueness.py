@@ -6,15 +6,16 @@ import pytest
 from nosig import uniqueness
 from nosig.errors import (DegenerateInputError, InvalidInputError)
 from nosig.qlinalg import partial_trace
-from nosig.optimizer import nelder_mead_batch
+from nosig.optimizer import levenberg_marquardt_batch, nelder_mead_batch
 from nosig.states import psi1, psi2, rho_ab_analytic, rho_ac_analytic
 from nosig.tolerances import (NEAR_ZERO_RESIDUAL, ORTHO_COLLAPSE,
                               UNIQUE_DISTANCE)
-from nosig.uniqueness import (_PENALTY, _ROUND_ITERS, _UNIQUE_GRAMS,
-                              PurificationParams, _bc_target, _chart_states,
-                              _distance_bound, _distance_chart, _e_pair,
-                              _grams, _purification, _rechart,
-                              _residual_chart, _stop_residual, _to_chart,
+from nosig.uniqueness import (_LM_ITERS, _PENALTY, _ROUND_ITERS,
+                              _UNIQUE_GRAMS, PurificationParams, _bc_target,
+                              _chart_states, _distance_bound, _distance_chart,
+                              _e_pair, _grams, _purification, _rechart,
+                              _residual_chart, _residual_terms,
+                              _stop_residual, _to_chart,
                               build_purification, residual, theorem2_check,
                               unique_point_params, uniqueness_scan)
 
@@ -244,12 +245,35 @@ class TestChartObjective:
         ps = [unique_point_params()] + [random_params(rng) for _ in range(40)]
         chart = np.array([_to_chart(p) for p in ps])
         res = _residual_chart(alpha, chart)
+        terms = np.linalg.norm(_residual_terms(alpha, chart), axis=1)
         dist = _distance_chart(chart)
         for k, p in enumerate(ps):
             v = residual(alpha, p)
             assert res[k] == pytest.approx(v.residual, abs=1e-12)
+            assert terms[k] == pytest.approx(v.residual, abs=1e-12)
             assert dist[k] == pytest.approx(v.distance_to_unique_point,
                                             abs=1e-12)
+
+    def test_terms_are_the_residual(self):
+        # the 32 real terms' norm is the objective; degenerate rows (x11 =
+        # 0, a collapsed E2) give NaN terms where the objective penalizes
+        rng = np.random.default_rng(79)
+        chart = random_chart(rng, 500)
+        chart[3, 2:5] = 0.0
+        chart[7, 1] = chart[7, 0]
+        chart[7, 5:10] = [1.0, 0.0, 0.0, 0.0, 0.0]
+        chart[7, 10:17] = np.append(chart[7, 2:5], np.zeros(4))
+        for alpha in (0.3, math.pi / 4, 1.2):
+            terms = _residual_terms(alpha, chart)
+            res = _residual_chart(alpha, chart)
+            assert terms.shape == (500, 32)
+            bad = np.isnan(terms)
+            assert np.flatnonzero(bad.any(axis=1)).tolist() == [3, 7]
+            assert bad[[3, 7]].all()
+            assert np.flatnonzero(res == _PENALTY).tolist() == [3, 7]
+            ok = ~bad.any(axis=1)
+            norm = np.linalg.norm(terms[ok], axis=1)
+            assert np.max(np.abs(norm - res[ok]) / res[ok]) <= 1e-15
 
     def test_residual_bounds_the_gram_differences(self):
         # residual >= s^2 |D11|/2, s^2 |D22|/2 and s c |D12|, so a zero
@@ -504,26 +528,33 @@ class TestRechart:
         assert not np.array_equal(new[4], chart[4])
 
     def test_each_round_starts_from_the_rechart(self, monkeypatch):
-        recharts, rounds = [], []
+        # the least-squares stage and each simplex round start from the
+        # re-chart of the previous stage's end points
+        recharts, stages = [], []
 
         def rechart(chart):
             recharts.append((chart, _rechart(chart)))
             return recharts[-1][1]
 
-        def recording(objective, x0, **kwargs):
-            rounds.append((x0, nelder_mead_batch(objective, x0, **kwargs)))
-            return rounds[-1][1]
+        def recording(solver):
+            def run(objective, x0, **kwargs):
+                stages.append((x0, solver(objective, x0, **kwargs)))
+                return stages[-1][1]
+            return run
 
         monkeypatch.setattr(uniqueness, "_rechart", rechart)
-        monkeypatch.setattr(uniqueness, "nelder_mead_batch", recording)
+        monkeypatch.setattr(uniqueness, "levenberg_marquardt_batch",
+                            recording(levenberg_marquardt_batch))
+        monkeypatch.setattr(uniqueness, "nelder_mead_batch",
+                            recording(nelder_mead_batch))
         uniqueness_scan(0.7, n_samples=200, n_local_starts=8, seed=4)
-        assert len(recharts) == len(rounds) == 3
+        assert len(recharts) == len(stages) == 4
         assert np.array_equal(recharts[0][0][0],
                               _to_chart(unique_point_params()))
-        for k, (x0, _) in enumerate(rounds):
+        for k, (x0, _) in enumerate(stages):
             assert np.array_equal(x0, recharts[k][1])
             if k:
-                assert np.array_equal(recharts[k][0], rounds[k - 1][1][0])
+                assert np.array_equal(recharts[k][0], stages[k - 1][1][0])
 
 
 class TestScan:
@@ -537,22 +568,31 @@ class TestScan:
         assert rep.max_distance_near_zero <= 1e-3
 
     def test_rounds_restart_at_the_certified_scale(self, monkeypatch):
-        # round 0 starts at step 0.1; rounds 1 and 2 start each row at the
-        # distance bound of its previous end value, never above 0.1, and
-        # the short first rounds leave 6000 iterations per row in all
+        # least squares runs first, to the stop; every round then starts
+        # each row at the distance bound of its previous end value, never
+        # above 0.1, and the short first rounds leave 6000 iterations per
+        # row in all
         rounds = []
 
-        def recording(objective, x0, **kwargs):
-            rounds.append((kwargs, nelder_mead_batch(objective, x0,
-                                                     **kwargs)))
-            return rounds[-1][1]
+        def recording(solver):
+            def run(objective, x0, **kwargs):
+                rounds.append((kwargs, solver(objective, x0, **kwargs)))
+                return rounds[-1][1]
+            return run
 
-        monkeypatch.setattr(uniqueness, "nelder_mead_batch", recording)
+        monkeypatch.setattr(uniqueness, "levenberg_marquardt_batch",
+                            recording(levenberg_marquardt_batch))
+        monkeypatch.setattr(uniqueness, "nelder_mead_batch",
+                            recording(nelder_mead_batch))
         alpha = 0.7
-        uniqueness_scan(alpha, n_samples=200, n_local_starts=8, seed=4)
-        assert [kw["max_iters"] for kw, _ in rounds] == list(_ROUND_ITERS) \
-            == [500, 500, 5000]
-        assert rounds[0][0]["step"] == 0.1
+        rep = uniqueness_scan(alpha, n_samples=200, n_local_starts=8, seed=4)
+        assert rounds[0][0] == {"max_iters": _LM_ITERS,
+                                "target": _stop_residual(alpha)}
+        lm_vals = rounds[0][1][1]
+        assert rep.n_least_squares == \
+            np.count_nonzero(lm_vals < rep.stop_residual) > 0
+        assert [kw["max_iters"] for kw, _ in rounds[1:]] == \
+            list(_ROUND_ITERS) == [500, 500, 5000]
         for (kw, _), (_, (_, vals, _)) in zip(rounds[1:], rounds):
             want = np.fmin(0.1, _distance_bound(alpha, vals))
             assert kw["step"].shape == vals.shape == (9,)
