@@ -26,9 +26,8 @@ bounds have no floor to stop at.
 The diameter test tries the worst vertex first, and the objective sees
 at most 1000 rows per call.
 levenberg_marquardt_batch is the least-squares counterpart, with the
-same lockstep rows, block calls and target freeze.  The scan runs it
-before its simplex rounds, which finish the rows it leaves near the
-scan's singular zero, where Gauss-Newton steps only crawl.
+same lockstep rows, block calls and target freeze; its forward
+differences need smooth residuals, which the scan's chart gives.
 
 Determinism: restart r of grid point i in a direction draws from the
 private stream of entropy seed and spawn key (i, direction, r), so runs

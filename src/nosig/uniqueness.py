@@ -21,7 +21,9 @@ NEAR_ZERO_RESIDUAL implies a distance below UNIQUE_DISTANCE whenever
 residual vanishes far from there; finding none checks the argument.
 So the residual is the norm of 32 real terms, re and im of s^2/2 D11,
 s^2/2 D22, c^2/2 (D11 + D22) and s c D12 (_terms): a least-squares
-problem in the 17 chart coordinates.
+problem in the 17 chart coordinates.  The swapped purification E1 =
+|1>x, E2 = |0>y, <x|y> = 0 (x10, x21 free) has D11 = diag(-1, 1) =
+-D22 and G12 = 0, so |D12| = 1: residual sqrt(s^4 + s^2 c^2) = s.
 
 The scan stops a row once its residual is below _stop_residual(alpha) =
 min(NEAR_ZERO_RESIDUAL, (s UNIQUE_DISTANCE)^2 / 8, s c UNIQUE_DISTANCE /
@@ -32,17 +34,18 @@ reached the unique point, which a diameter test would run to max_iters.
 The stop is NEAR_ZERO_RESIDUAL for 4e-10 <= cos^2(alpha) <= 0.92.
 
 The starts first take a batched Levenberg-Marquardt descent on the 32
-terms, which brings most rows below the stop in about 15 iterations.
-The zero is singular: by the sqrt(2r)/s term of the bound the residual
-grows quadratically along some directions, where Gauss-Newton crawls.
-So three Nelder-Mead rounds finish the rows the descent left above the
-stop.  In 17 dimensions their simplex flattens long before a row reaches
-the stop, so rounds 0 and 1 are short, and every round starts each row
-at its certified scale: step min(0.1, _distance_bound(alpha, r)) for its
-value r at the end of the previous stage, which by the bound reaches the
-unique point.  The descent and the step only set where a round starts,
-and confirmed reads only the end rows' own residuals and distances, so
-neither can flip the verdict.
+terms, which brings nearly every row below the stop in about 15
+iterations.  Its forward-difference Jacobian needs smooth terms, so the
+weights are (cos t, sin t) with their signs (a negative weight is a sign
+on its vector, the same purification): |.| would put a kink at the
+unique point's c1 = 0, d0 = 0.  Three Nelder-Mead rounds finish the rows
+it leaves, mostly near cos^2(alpha) = 1.  In 17 dimensions a simplex
+flattens long before a row reaches the stop, so rounds 0 and 1 are
+short, and every round starts each row at its certified scale: step
+min(0.1, _distance_bound(alpha, r)) for its value r at the end of the
+previous stage, which by the bound reaches the unique point.  The
+descent and the step only set where a round starts, and confirmed reads
+only the end rows' own residuals and distances, so neither can flip it.
 
 Rows drift into a corner, c0 ~ d0 ~ 1 and x20 ~ x10, where E2 is a small
 remainder scaled to unit length, and crawl to max_iters.  So the descent
@@ -85,11 +88,9 @@ _X_DIM = 4
 _CHART_DIM = 2 + 3 + 5 + 7  # two Schmidt angles + the frame of x11, x20, x21
 _FRAME = np.r_[8:11, 16:21, 24:31]  # their slots in (vector, x, re/im) order
 _PENALTY = 10.0
-# rounds 0 and 1 end where a 17-dim simplex has flattened; round 2 finishes
-# the rows.  6000 iterations per row in all, as with three rounds of 2000
+# rounds 0 and 1 are short (module docstring); 6000 iterations per row in all
 _ROUND_ITERS = (500, 500, 5000)
-# least squares takes most rows below the stop in about 15 iterations and
-# then only crawls into the singular zero, which the rounds finish
+# nearly every row is below the stop after about 15 (module docstring)
 _LM_ITERS = 25
 
 
@@ -146,7 +147,7 @@ class UniquenessScanReport:
     next_residual: float
     stop_residual: float
     confirmed: bool
-    n_least_squares: int = 0  # rows below stop_residual after least squares
+    n_least_squares: int  # rows below stop_residual after least squares
 
 
 def unique_point_params() -> PurificationParams:
@@ -192,7 +193,7 @@ def _grams(e1: np.ndarray, e2: np.ndarray):
 
 
 def _distance(c1: np.ndarray, x10: np.ndarray, e2: np.ndarray) -> np.ndarray:
-    """Max of (c1, effective d0, 1 - |<x10|x21 effective>|) per row.
+    """Max of (|c1|, effective d0, 1 - |<x10|x21 effective>|) per row.
 
     Measured on the orthogonalized E2, so raw parameters that
     orthogonalize onto the unique point count as being there.  The
@@ -202,7 +203,7 @@ def _distance(c1: np.ndarray, x10: np.ndarray, e2: np.ndarray) -> np.ndarray:
     live = d1_eff > 1e-12
     ip = np.abs(_xsum(x10.conj() * e2[:, 1]))
     overlap = np.where(live, ip / np.where(live, d1_eff, 1.0), 0.0)
-    return np.maximum(np.maximum(c1, d0_eff), 1.0 - overlap)
+    return np.maximum(np.maximum(np.abs(c1), d0_eff), 1.0 - overlap)
 
 
 def _e_pair(p: PurificationParams) -> tuple[np.ndarray, np.ndarray]:
@@ -272,7 +273,7 @@ def _chart_states(chart: np.ndarray):
     r = chart.shape[0]
     ct = np.ascontiguousarray(chart.T)
     t = ct[:2]
-    w = np.abs(np.stack([np.cos(t), np.sin(t)], axis=1)).reshape(4, r)
+    w = np.stack([np.cos(t), np.sin(t)], axis=1).reshape(4, r)
     raw = np.zeros((4 * _X_DIM * 2, r))
     raw[0], raw[_FRAME] = 1.0, ct[2:]             # x10 = e0, then the frame
     raw = raw.reshape(4, _X_DIM, 2, r)            # vector, x, re/im

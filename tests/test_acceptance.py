@@ -153,8 +153,8 @@ def test_criterion_6_marginal_feasibility(capsys):
 
 
 SCAN_REPR_SHA256 = {
-    0.5: "ba49ea121e1e0084402730fcbe28faae2a02f9b62d01f56d357c6ebcafb9a1bf",
-    0.85: "3a0ecad1d3e012279acabcfa3661f809fa192ebab1588f78b8f396e0cec405da",
+    0.5: "65a3ad26d036dbdc2262c24728fc72f8eef459ccb8f0e2b4f7c9e2738d9109bf",
+    0.85: "6061ac4b56afff59a1f45941c81ed3dfd582ce6597dee290f0e7de6526810ff7",
 }
 
 

@@ -308,7 +308,7 @@ class TestUniquenessCommand:
                 alpha=alpha, n_samples=10, n_local_starts=2, seed=0,
                 min_residual=0.0, distance_at_min=0.5, near_zero_count=2,
                 max_distance_near_zero=0.5, n_capped=0, next_residual=1.0,
-                stop_residual=1e-8, confirmed=False)
+                stop_residual=1e-8, confirmed=False, n_least_squares=2)
 
         monkeypatch.setattr(cli, "uniqueness_scan", counterexample)
         assert main(["uniqueness", "--alpha", "pi/4"]) == 1
@@ -434,4 +434,4 @@ class TestGoldenDigests:
         argv = ["uniqueness", "--alpha", "0.8", "--samples", "200",
                 "--starts", "4", "--seed", "5"]
         assert self.digest(capsys, argv) == \
-            "e0cd82f75ad73374ec5fd1e3ad7a71cd706dcdbb05b8054832ac7e4ad6e8d7f0"
+            "1318f04a2db4e68fd8ab176753f516a4fb46830990a798bbc054f5d4ab8c2356"

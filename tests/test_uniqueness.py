@@ -198,18 +198,29 @@ def random_chart(rng, rows):
 
 def frame_params(row):
     """The PurificationParams of a frame row, filled entry by entry: x10 =
-    e0, then re/im pairs of x11, x20 and x21, the last entry of each real."""
+    e0, then re/im pairs of x11, x20 and x21, the last entry of each real.
+    The weights are (cos, sin) of the two angles; a negative weight is a
+    sign on its vector, the same purification with a nonnegative weight."""
     r = row
     vecs = [np.array(v, dtype=np.complex128) for v in (
         [1.0, 0.0, 0.0, 0.0],
         [r[2] + 1j * r[3], r[4], 0.0, 0.0],
         [r[5] + 1j * r[6], r[7] + 1j * r[8], r[9], 0.0],
         [r[10] + 1j * r[11], r[12] + 1j * r[13], r[14] + 1j * r[15], r[16]])]
-    x10, x11, x20, x21 = (v / np.linalg.norm(v) for v in vecs)
-    return PurificationParams(
-        c0=abs(math.cos(r[0])), c1=abs(math.sin(r[0])),
-        d0=abs(math.cos(r[1])), d1=abs(math.sin(r[1])),
-        x10=x10, x11=x11, x20=x20, x21=x21)
+    w = [f(t) for t in r[:2] for f in (math.cos, math.sin)]
+    x = [math.copysign(1.0, wk) * v / np.linalg.norm(v)
+         for wk, v in zip(w, vecs)]
+    return PurificationParams(*(abs(wk) for wk in w), *x)
+
+
+def swapped_params(rng):
+    """E1 = |1>x and E2 = |0>y with x orthogonal to y; x10 and x21, of
+    weight 0, are random."""
+    v = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    x10, x21 = v[:2] / np.linalg.norm(v[:2], axis=1, keepdims=True)
+    x, y = np.linalg.qr(v[2:].T)[0].T
+    return PurificationParams(c0=0.0, c1=1.0, d0=1.0, d1=0.0,
+                              x10=x10, x11=x, x20=y, x21=x21)
 
 
 class TestChartObjective:
@@ -348,6 +359,30 @@ class TestChartObjective:
             assert _residual_chart(alpha, chart)[0] == \
                 pytest.approx(residual(alpha, p).residual, abs=1e-12)
 
+    @pytest.mark.parametrize("angle", [0, 1])
+    def test_terms_smooth_through_zero_weights(self, angle):
+        # the chart's weights are (cos t, sin t), not their absolute
+        # values, so the 32 terms stay smooth where the unique point puts
+        # c1 = 0 (angle 0 at 0) and d0 = 0 (angle 1 at pi/2): a forward
+        # difference at the least-squares step and a central one at 10
+        # times that step agree on either side of, and across, those
+        # zeros.  <x10|x11> and <x20|x21> are nonzero, so both weights
+        # enter the terms linearly
+        alpha = math.acos(math.sqrt(0.85))
+        row = _to_chart(unique_point_params())
+        row[[2, 12]] = 0.3
+
+        def terms(t):
+            r = row.copy()
+            r[angle] = t
+            return _residual_terms(alpha, r[None])[0]
+
+        for off in (-5e-8, -1e-9, 1e-9, 3e-8):
+            t = row[angle] + off
+            forward = (terms(t + 1e-7) - terms(t)) / 1e-7
+            central = (terms(t + 1e-6) - terms(t - 1e-6)) / 2e-6
+            assert np.linalg.norm(forward - central) <= 1e-6
+
     @pytest.mark.parametrize("cos2", [0.05, 0.5, 0.85, 0.99])
     def test_distance_bound(self, cos2):
         # distance <= max(sqrt(2r)/s, r/(s c)) (module docstring) on frame
@@ -439,6 +474,33 @@ class TestChartObjective:
         for rows in (7, 34, 1000):
             batch = _residual_chart(alpha, chart[:rows])
             assert np.array_equal(batch, single[:rows])
+
+
+class TestSwappedPurification:
+    """E1 = |1>x, E2 = |0>y with x orthogonal to y: D11 = diag(-1, 1),
+    D22 = -D11 and |D12| = 1, so the residual is sin(alpha) (module
+    docstring)."""
+
+    def test_residual_is_sin_alpha_at_distance_one(self):
+        rng = np.random.default_rng(89)
+        for cos2 in np.linspace(0.05, 0.9999, 40):
+            alpha = math.acos(math.sqrt(cos2))
+            v = residual(alpha, swapped_params(rng))
+            assert abs(v.residual - math.sin(alpha)) <= 1e-15
+            assert v.distance_to_unique_point == pytest.approx(1.0,
+                                                               abs=1e-15)
+
+    @pytest.mark.parametrize("cos2", [0.05, 0.5, 0.85, 0.9999])
+    def test_chart_objective_is_stationary(self, cos2):
+        alpha = math.acos(math.sqrt(cos2))
+        row = _to_chart(swapped_params(np.random.default_rng(90)))
+        h = 1e-6
+        steps = h * np.eye(len(row))
+        grad = (_residual_chart(alpha, row + steps)
+                - _residual_chart(alpha, row - steps)) / (2 * h)
+        assert _residual_chart(alpha, row[None])[0] == \
+            pytest.approx(math.sin(alpha), abs=1e-15)
+        assert np.max(np.abs(grad)) <= 1e-9
 
 
 class TestRechart:
