@@ -122,12 +122,11 @@ def _live(xa: np.ndarray, centroid: np.ndarray, tol: float) -> np.ndarray:
 
 
 def nelder_mead_batch(objective, x0: np.ndarray, *, max_iters: int,
-                      tol: float, step: float | np.ndarray = _SIMPLEX_STEP,
-                      target: float | None = None):
+                      tol: float, target: float | None = None):
     """Minimize objective over a batch of starts advanced in lockstep.
 
-    objective maps an (N, d) array to (N,) values; x0 is (R, d), and
-    step, the initial simplex edge, is a scalar or one per row.  Returns
+    objective maps an (N, d) array to (N,) values; x0 is (R, d), and each
+    row's initial simplex has edge _SIMPLEX_STEP along every axis.  Returns
     (best points (R, d), best values (R,), iterations used (R,)).  A row
     freezes once its simplex diameter (max-norm) drops below tol, or,
     when target is given, once its best value is below target (a NaN
@@ -137,7 +136,7 @@ def nelder_mead_batch(objective, x0: np.ndarray, *, max_iters: int,
     r, d = x0.shape
     x = np.repeat(x0[:, None, :], d + 1, axis=1)
     for i in range(d):
-        x[:, i + 1, i] += step
+        x[:, i + 1, i] += _SIMPLEX_STEP
     x = x.reshape(r * (d + 1), d)  # vertices stay in their slots
     f = _in_blocks(objective, x)
     rank = np.arange(r * (d + 1)).reshape(r, d + 1)  # slots, best first

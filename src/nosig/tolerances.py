@@ -3,10 +3,11 @@
 Every accuracy judgment takes its tolerance from here so that the whole
 artifact can be audited (or tightened) in one place.  SIMPLEX_DIAMETER is
 the default of OptimizerConfig.tol, which the CLI's ``--tol`` takes as its
-default, so a run can set its own Nelder-Mead tolerance; the other entries
-are fixed.  Four 1e-12 literals that only guard arithmetic or trim output
-stay local: the division guard in uniqueness._distance, the LP's two pivot
-thresholds and the witness print cut-off of ``ghz-check``.
+default, so a sweep can set its own Nelder-Mead tolerance; it is also the
+uniqueness scan's fixed simplex diameter.  The other entries are fixed.
+Four 1e-12 literals that only guard arithmetic or trim output stay local:
+the division guard in uniqueness._distance, the LP's two pivot thresholds
+and the witness print cut-off of ``ghz-check``.
 """
 
 UNIT_NORM = 1e-12          # |<v|v> - 1| for vectors flagged unit
@@ -19,7 +20,6 @@ MARGINAL_FEASIBLE = 1e-10  # slack allowed in F >= max(|A|, |C|)
 CORRELATOR_RANGE = 1e-10   # slack on |E| <= 1
 LP_FEASIBLE = 1e-9         # phase-I objective threshold for feasibility
 SIMPLEX_DIAMETER = 1e-10   # Nelder-Mead convergence: simplex diameter
-SCAN_DIAMETER = 1e-12      # the uniqueness scan's Nelder-Mead diameter
 VIOLATION_STRICT = 1e-9    # margin for the forced-CHSH-violation witness
 ORTHO_COLLAPSE = 1e-8      # norm below which Gram-Schmidt output is degenerate
 # Residual r puts a purification within max(sqrt(2r)/s, r/(s c)) of the

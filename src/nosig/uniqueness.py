@@ -33,26 +33,24 @@ its residual, so the stop cannot flip confirmed; it ends the rows that
 reached the unique point, which a diameter test would run to max_iters.
 The stop is NEAR_ZERO_RESIDUAL for 4e-10 <= cos^2(alpha) <= 0.92.
 
-The starts first take a batched Levenberg-Marquardt descent on the 32
-terms, which brings nearly every row below the stop in about 15
-iterations.  Its forward-difference Jacobian needs smooth terms, so the
-weights are (cos t, sin t) with their signs (a negative weight is a sign
-on its vector, the same purification): |.| would put a kink at the
-unique point's c1 = 0, d0 = 0.  Three Nelder-Mead rounds finish the rows
-it leaves, mostly near cos^2(alpha) = 1.  In 17 dimensions a simplex
-flattens long before a row reaches the stop, so rounds 0 and 1 are
-short, and every round starts each row at its certified scale: step
-min(0.1, _distance_bound(alpha, r)) for its value r at the end of the
-previous stage, which by the bound reaches the unique point.  The
-descent and the step only set where a round starts, and confirmed reads
-only the end rows' own residuals and distances, so neither can flip it.
+The starts take a batched Levenberg-Marquardt descent on the 32 terms,
+which finishes the rows: it brings nearly every row below the stop,
+mostly in about 15 iterations and at most about 180, or, near
+cos^2(alpha) = 1, to the swapped purification.  Its forward-difference
+Jacobian needs smooth terms, so the weights are (cos t, sin t) with
+their signs (a negative weight is a sign on its vector, the same
+purification): |.| would put a kink at the unique point's c1 = 0,
+d0 = 0.  Three Nelder-Mead rounds then restart plainly from the previous
+stage's end rows; a row below the stop does no iteration there.
+Whichever stage ends a row, confirmed reads only its own residual and
+distance.
 
-Rows drift into a corner, c0 ~ d0 ~ 1 and x20 ~ x10, where E2 is a small
-remainder scaled to unit length, and crawl to max_iters.  So the descent
-and each round start from _rechart, the chart points of the rows' own E1
-and orthogonalized E2: there raw E2 is orthogonal to E1 and the chart
-well conditioned.  The residual stays put up to rounding, so the
-re-chart cannot flip the verdict either.
+Sampled rows can sit in a corner, c0 ~ d0 ~ 1 and x20 ~ x10, where E2
+is a small remainder scaled to unit length and a search crawls.  So the
+scan re-charts once, before the descent: _rechart moves each row to the
+chart point of its own E1 and orthogonalized E2, where raw E2 is
+orthogonal to E1 and the chart well conditioned.  The residual stays put
+up to rounding, so the re-chart cannot flip the verdict either.
 
 The residual and the distance see the four vectors only through their
 inner products, so the chart quotients out the unitaries on X exactly:
@@ -88,10 +86,11 @@ _X_DIM = 4
 _CHART_DIM = 2 + 3 + 5 + 7  # two Schmidt angles + the frame of x11, x20, x21
 _FRAME = np.r_[8:11, 16:21, 24:31]  # their slots in (vector, x, re/im) order
 _PENALTY = 10.0
-# rounds 0 and 1 are short (module docstring); 6000 iterations per row in all
+# plain restarts from the previous stage's end rows; 6000 iterations in all
 _ROUND_ITERS = (500, 500, 5000)
-# nearly every row is below the stop after about 15 (module docstring)
-_LM_ITERS = 25
+# rows reach the stop in about 15 iterations, a few in up to about 180;
+# rows at the swapped purification, near cos^2(alpha) = 1, use all 200
+_LM_ITERS = 200
 
 
 @dataclass(frozen=True)
@@ -384,9 +383,8 @@ def uniqueness_scan(alpha: float, n_samples: int = 10000,
     n_least_squares = int(np.count_nonzero(vals < stop))
     for max_iters in _ROUND_ITERS:  # restarts unflatten stalled simplices
         best, vals, iters = nelder_mead_batch(
-            objective, _rechart(best), max_iters=max_iters,
-            tol=tol.SCAN_DIAMETER, target=stop,
-            step=np.fmin(0.1, _distance_bound(a, vals)))
+            objective, best, max_iters=max_iters,
+            tol=tol.SIMPLEX_DIAMETER, target=stop)
     dists = _distance_chart(best)
     k = int(np.argmin(vals))
     near = vals < tol.NEAR_ZERO_RESIDUAL

@@ -153,8 +153,8 @@ def test_criterion_6_marginal_feasibility(capsys):
 
 
 SCAN_REPR_SHA256 = {
-    0.5: "65a3ad26d036dbdc2262c24728fc72f8eef459ccb8f0e2b4f7c9e2738d9109bf",
-    0.85: "6061ac4b56afff59a1f45941c81ed3dfd582ce6597dee290f0e7de6526810ff7",
+    0.5: "89591d3e170c4421f24598cb6a0e51c1d7d7f27e7b64b1de98fba6af93512f2e",
+    0.85: "f9e4f6c1a5aa61f84ca14f4285d291dfb5ed4b540cf4483482a53d6860fe3a72",
 }
 
 

@@ -434,4 +434,4 @@ class TestGoldenDigests:
         argv = ["uniqueness", "--alpha", "0.8", "--samples", "200",
                 "--starts", "4", "--seed", "5"]
         assert self.digest(capsys, argv) == \
-            "1318f04a2db4e68fd8ab176753f516a4fb46830990a798bbc054f5d4ab8c2356"
+            "7e5760dcf25727ce72e38ef1ecadcfef7d76c44d8e77a831b140a79e207e8620"

@@ -6,8 +6,8 @@ import pytest
 
 from nosig.bounds import family_chsh_bounds
 from nosig.errors import InvalidInputError
-from nosig.optimizer import (_BLOCK_ROWS, _LOWER, _SIMPLEX_STEP, _UPPER,
-                             OptimizerConfig, _in_blocks, _live, _starts,
+from nosig.optimizer import (_BLOCK_ROWS, _LOWER, _UPPER, OptimizerConfig,
+                             _in_blocks, _live, _starts,
                              levenberg_marquardt_batch, maximize_chsh_lower,
                              minimize_chsh_upper, nelder_mead_batch, sweep)
 
@@ -92,16 +92,12 @@ class TestNelderMeadBatch:
             bowl = np.sum(p ** 2, axis=1) + 0.3 * np.sin(3 * p[:, 1])
             return np.where(p[:, 0] > 5.0, 1.0, bowl)
 
-        # with target -0.1 the others stop early too, below the target; an
-        # (R,) step gives each row the run it has alone with its own step
+        # with target -0.1 the others stop early too, below the target
         x0 = np.random.default_rng(4).normal(0, 1, (7, 4))
         x0[[1, 4, 5], 0] = 10.0
-        steps = np.linspace(0.05, 0.5, len(x0))
-        for target, step in ((None, _SIMPLEX_STEP), (-0.1, _SIMPLEX_STEP),
-                             (None, steps)):
+        for target in (None, -0.1):
             pts, vals, iters = nelder_mead_batch(
-                objective, x0, max_iters=50, tol=1e-3, step=step,
-                target=target)
+                objective, x0, max_iters=50, tol=1e-3, target=target)
             assert np.all(iters[[1, 4, 5]] < 15)
             if target is None:
                 assert np.all(iters[[0, 2, 3, 6]] == 50)
@@ -111,7 +107,6 @@ class TestNelderMeadBatch:
             for i in range(len(x0)):
                 p1, v1, n1 = nelder_mead_batch(
                     objective, x0[i:i + 1], max_iters=50, tol=1e-3,
-                    step=float(np.broadcast_to(step, len(x0))[i]),
                     target=target)
                 assert p1[0].tobytes() == pts[i].tobytes()
                 assert v1[0].tobytes() == vals[i].tobytes()

@@ -9,7 +9,7 @@ from nosig.qlinalg import partial_trace
 from nosig.optimizer import levenberg_marquardt_batch, nelder_mead_batch
 from nosig.states import psi1, psi2, rho_ab_analytic, rho_ac_analytic
 from nosig.tolerances import (NEAR_ZERO_RESIDUAL, ORTHO_COLLAPSE,
-                              UNIQUE_DISTANCE)
+                              SIMPLEX_DIAMETER, UNIQUE_DISTANCE)
 from nosig.uniqueness import (_LM_ITERS, _PENALTY, _ROUND_ITERS,
                               _UNIQUE_GRAMS, PurificationParams, _bc_target,
                               _chart_states, _distance_bound, _distance_chart,
@@ -589,9 +589,9 @@ class TestRechart:
         assert np.array_equal(new[4], _rechart(chart[4:])[0])
         assert not np.array_equal(new[4], chart[4])
 
-    def test_each_round_starts_from_the_rechart(self, monkeypatch):
-        # the least-squares stage and each simplex round start from the
-        # re-chart of the previous stage's end points
+    def test_only_the_descent_starts_from_the_rechart(self, monkeypatch):
+        # the scan re-charts once, the sampled rows plus the known point,
+        # and the least-squares descent starts from that re-chart
         recharts, stages = [], []
 
         def rechart(chart):
@@ -600,8 +600,8 @@ class TestRechart:
 
         def recording(solver):
             def run(objective, x0, **kwargs):
-                stages.append((x0, solver(objective, x0, **kwargs)))
-                return stages[-1][1]
+                stages.append(x0)
+                return solver(objective, x0, **kwargs)
             return run
 
         monkeypatch.setattr(uniqueness, "_rechart", rechart)
@@ -610,13 +610,10 @@ class TestRechart:
         monkeypatch.setattr(uniqueness, "nelder_mead_batch",
                             recording(nelder_mead_batch))
         uniqueness_scan(0.7, n_samples=200, n_local_starts=8, seed=4)
-        assert len(recharts) == len(stages) == 4
+        assert len(recharts) == 1 and len(stages) == 4
         assert np.array_equal(recharts[0][0][0],
                               _to_chart(unique_point_params()))
-        for k, (x0, _) in enumerate(stages):
-            assert np.array_equal(x0, recharts[k][1])
-            if k:
-                assert np.array_equal(recharts[k][0], stages[k - 1][1][0])
+        assert stages[0] is recharts[0][1]
 
 
 class TestScan:
@@ -629,17 +626,28 @@ class TestScan:
         assert rep.near_zero_count >= 1
         assert rep.max_distance_near_zero <= 1e-3
 
-    def test_rounds_restart_at_the_certified_scale(self, monkeypatch):
-        # least squares runs first, to the stop; every round then starts
-        # each row at the distance bound of its previous end value, never
-        # above 0.1, and the short first rounds leave 6000 iterations per
-        # row in all
-        rounds = []
+    @pytest.mark.parametrize("alpha, seed", [
+        (0.01, 1), (math.acos(math.sqrt(0.999)), 2)],
+        ids=["alpha=0.01", "cos2=0.999"])
+    def test_no_capped_rows_near_cos2_one(self, alpha, seed):
+        # near cos^2 = 1 the descent ends every row below the stop or at
+        # the swapped purification, whose residual is sin(alpha) exactly
+        rep = uniqueness_scan(alpha, n_samples=2000, n_local_starts=20,
+                              seed=seed)
+        assert rep.confirmed
+        assert rep.n_capped == 0
+        assert abs(rep.next_residual - math.sin(alpha)) <= 1e-12
+
+    def test_rounds_restart_from_the_previous_end_rows(self, monkeypatch):
+        # least squares runs first, to the stop; each simplex round then
+        # restarts plainly from the previous stage's end rows, bit for bit,
+        # and the short first rounds leave 6000 iterations per row in all
+        stages = []
 
         def recording(solver):
             def run(objective, x0, **kwargs):
-                rounds.append((kwargs, solver(objective, x0, **kwargs)))
-                return rounds[-1][1]
+                stages.append((x0, kwargs, solver(objective, x0, **kwargs)))
+                return stages[-1][2]
             return run
 
         monkeypatch.setattr(uniqueness, "levenberg_marquardt_batch",
@@ -648,25 +656,25 @@ class TestScan:
                             recording(nelder_mead_batch))
         alpha = 0.7
         rep = uniqueness_scan(alpha, n_samples=200, n_local_starts=8, seed=4)
-        assert rounds[0][0] == {"max_iters": _LM_ITERS,
-                                "target": _stop_residual(alpha)}
-        lm_vals = rounds[0][1][1]
+        stop = _stop_residual(alpha)
+        assert stages[0][1] == {"max_iters": _LM_ITERS, "target": stop}
+        assert _LM_ITERS == 200
+        lm_vals = stages[0][2][1]
         assert rep.n_least_squares == \
             np.count_nonzero(lm_vals < rep.stop_residual) > 0
-        assert [kw["max_iters"] for kw, _ in rounds[1:]] == \
-            list(_ROUND_ITERS) == [500, 500, 5000]
-        for (kw, _), (_, (_, vals, _)) in zip(rounds[1:], rounds):
-            want = np.fmin(0.1, _distance_bound(alpha, vals))
-            assert kw["step"].shape == vals.shape == (9,)
-            assert np.array_equal(kw["step"], want)
-            assert np.all(kw["step"] <= 0.1)
-            assert np.any(kw["step"] < 0.1)
+        assert [kw for _, kw, _ in stages[1:]] == [
+            {"max_iters": m, "tol": SIMPLEX_DIAMETER, "target": stop}
+            for m in _ROUND_ITERS]
+        assert list(_ROUND_ITERS) == [500, 500, 5000]
+        for (x0, _, _), (_, _, (ends, _, _)) in zip(stages[1:], stages):
+            assert x0.shape == ends.shape == (9, 17)
+            assert x0.tobytes() == ends.tobytes()
 
     def test_capped_rows_and_next_residual(self, monkeypatch):
         # both come from the last simplex round: iters >= max_iters, and
-        # the smallest end value outside the near-zero set.  Since every
-        # round starts from re-charted rows no small shape leaves a capped
-        # or far row, so the last round hands back one far row at max_iters
+        # the smallest end value outside the near-zero set.  Since the
+        # descent finishes the rows no small shape leaves a capped or far
+        # row, so the last round hands back one far row at max_iters
         rounds = []
 
         def recording(objective, x0, **kwargs):
