@@ -35,11 +35,14 @@ is 0).  The right side is convex in each v and 0 is the midpoint of
 keeps its value under the relabelings (v21, v22, v11, v12) and
 (v12, v11, -v22, -v21), whose v11 and v22 have the signs of v21, v12
 and of v12, -v21; one of them makes the two signs equal, v -> -v makes
-both positive, so v11 and v22 can be taken in {2 g_0, 2 g_1, 2 g_2}.  _optimal_columns
-rebuilds those settings for a batch of bases.  Their C-flip c -> -c maps
-the window (L, U) to (-U, -L), so it minimizes chsh_upper, at -L.  The
-rebuild also returns the bases' (f, g), and family_chsh_bounds takes them
-as terms, so a sweep trial evaluates its basis once.
+both positive, so v11 and v22 can be taken in {2 g_0, 2 g_1, 2 g_2}.
+_optimal_settings rebuilds those settings for a batch of bases as unit
+vectors along the four sums, and returns them with the bases' (f, g) as
+the terms that family_chsh_bounds takes in place of angles: a sweep
+trial evaluates its basis once and computes no angle, and only a
+search's winner is turned into Bloch angles.  Their C-flip c -> -c, a
+negation of the C vectors, maps the window (L, U) to (-U, -L) bit for
+bit, so it minimizes chsh_upper, at -L.
 """
 
 from __future__ import annotations
@@ -113,14 +116,16 @@ def _pair_ranges(alpha: float, p: np.ndarray, terms=None
     """Per-outcome h ranges (lower, upper), each (3, 2, 2, R), of (R, 14)
     parameter rows, then their sums over outcomes, each (2, 2, R).  Index
     [b, x, z, r] is outcome b of the pair of A setting x and C setting z.
-    terms, when given, is outcome_terms of the rows' bases, (f, g)."""
-    pt = np.ascontiguousarray(p.T)
+    terms, when given, is (f, g, n) as family_chsh_bounds takes it, and
+    p is not read."""
     if terms is None:
-        terms = outcome_terms(alpha, batched_columns(pt[8:14]))
-    f, g = terms
-    nx, ny, nz = bloch_vectors(pt[0:8:2], pt[1:8:2])
+        pt = np.ascontiguousarray(p.T)
+        f, g = outcome_terms(alpha, batched_columns(pt[8:14]))
+        n = bloch_vectors(pt[0:8:2], pt[1:8:2])
+    else:
+        f, g, n = terms
     # biases of a1, a2, c1, c2 along their Bloch vectors, (outcome, 4, R)
-    bias = g[:, 0, None] * nx + g[:, 1, None] * ny + g[:, 2, None] * nz
+    bias = g[:, 0, None] * n[0] + g[:, 1, None] * n[1] + g[:, 2, None] * n[2]
     lo, up = _h_range(f[:, None, None], bias[:, :2, None], bias[:, None, 2:])
     return lo, up, lo[0] + lo[1] + lo[2], up[0] + up[1] + up[2]
 
@@ -151,18 +156,23 @@ def family_chsh_bounds(alpha: float, params: np.ndarray, *, terms=None
     params has shape (R, 14), or (14,), laid out as SettingsFamily.to_params;
     the result is a pair of (R,) arrays.  family_bounds is the same kernel
     on a batch of one; the test suite checks both against the Born rule.
-    terms, if given, must be outcome_terms(alpha, batched_columns(
-    params[:, 8:].T)), f (3, R) and g (3, 3, R), as _optimal_columns returns
-    them; the kernel then skips that step with the same result, bit for bit.
+    terms, if given, holds the kernel's inputs, as _optimal_settings
+    returns them: the bases' outcome_terms f (3, R) and g (3, 3, R), and
+    the unit vectors n (3, 4, R), axis first, of a1, a2, c1, c2.  params
+    is then the (R, 6) bases alone, and the kernel skips the Givens and
+    Bloch charts; with n = bloch_vectors of the qubit angles the result is
+    the same, bit for bit.
     """
     p = np.atleast_2d(np.asarray(params, dtype=float))
-    if p.ndim != 2 or p.shape[1] != 14:
+    width = 14 if terms is None else 6
+    if p.ndim != 2 or p.shape[1] != width:
         raise InvalidInputError(
-            f"params must have shape (R, 14), got {p.shape}")
+            f"params must have shape (R, {width}), got {p.shape}")
+    r = len(p)
     if terms is not None and [np.shape(t) for t in terms] != [
-            (3, len(p)), (3, 3, len(p))]:
-        raise InvalidInputError(
-            f"terms must have shapes (3, {len(p)}) and (3, 3, {len(p)})")
+            (3, r), (3, 3, r), (3, 4, r)]:
+        raise InvalidInputError(f"terms must have shapes (3, {r}), "
+                                f"(3, 3, {r}) and (3, 4, {r})")
     return _chsh_window(*_pair_ranges(_check_alpha(alpha), p, terms)[2:])
 
 
@@ -185,43 +195,35 @@ _EDGES = np.stack([_PLUS[:, 3:], _PLUS[:, :3]])
 
 
 def _best_sums(g: np.ndarray) -> np.ndarray:
-    """The sums v11+v12, v21+v22, v11+v21, v12-v22, (4, R, 3), of a tuple
-    of signed bias vectors that maximizes the module docstring's sum, per
-    column of g (3, 3, R): the best (v11, v22) in (g0, g1, g2)^2 for the
-    best v12 plus the best v21, on (3, 2, 6, 3, R) arrays of norms."""
+    """The sums v11+v12, v21+v22, v11+v21, v12-v22, (axis, 4, R), of a
+    tuple of signed bias vectors that maximizes the module docstring's sum,
+    per column of g (3, 3, R): the best (v11, v22) in (g0, g1, g2)^2 for
+    the best v12 plus the best v21, on (3, 2, 6, 3, R) arrays of norms."""
     nv = np.sqrt(np.maximum((_NORM2 * (g * g).sum(axis=1)).sum(axis=1), 0.0))
     # [i, edge, j or k, l, R]: |v11 + v12| + |v12 - v22| for edge 0 and
     # |v11 + v21| + |v21 + v22| for edge 1, with v11 = g_i and v22 = g_l
     t = nv[_PLUS[:3, None, :, None]] + nv[_EDGES]
-    best = t.max(axis=2).sum(axis=1).reshape(9, -1).argmax(axis=0)
-    i, l = np.divmod(best, 3)
+    m = t.max(axis=2)
+    i, l = np.divmod((m[:, 0] + m[:, 1]).reshape(9, -1).argmax(axis=0), 3)
     cols = np.arange(i.size)
     j, k = t[i, :, :, l, cols].argmax(axis=2).T
-    v = np.concatenate([g, -g])
-    v = v[np.array((i, k, i, j, j, l, k, l + 3)), :, cols]
-    return v[:4] + v[4:]
+    gt = g.swapaxes(0, 1)
+    v = np.concatenate([gt, -gt], axis=1).reshape(3, -1)  # [axis, 6 R]
+    v = np.take(v, np.array((i, k, i, j, j, l, k, l + 3)) * i.size + cols,
+                axis=1)
+    return v[:, :4] + v[:, 4:]
 
 
-def _optimal_columns(alpha: float, b: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """(14, R) parameter columns: each basis of b (6, R) with the qubit
-    settings a1, a2, c1, c2 that maximize its chsh_lower, the directions
-    of the vectors of _best_sums (the z axis where one is zero); and the
-    bases' outcome_terms (f, g), which family_chsh_bounds takes as terms
-    for these columns and for their _c_flip."""
-    pt = np.empty((14, b.shape[1]))
-    pt[8:] = b  # contiguous rows for the trigonometry
-    terms = outcome_terms(alpha, batched_columns(pt[8:]))
-    s = _best_sums(terms[1])
-    x, y, z = s[..., 0], s[..., 1], s[..., 2]
-    np.arctan2(np.hypot(x, y), z, out=pt[0:8:2])
-    np.arctan2(y, x, out=pt[1:8:2])
-    return pt, terms
-
-
-def _c_flip(pt: np.ndarray) -> np.ndarray:
-    """Parameter columns with c1, c2 antipodal: (theta, phi) -> (pi -
-    theta, phi + pi), which maps the window (L, U) to (-U, -L)."""
-    out = pt.copy()
-    out[4:8:2] = np.pi - pt[4:8:2]
-    out[5:8:2] += np.pi
-    return out
+def _optimal_settings(alpha: float, b: np.ndarray) -> tuple:
+    """terms (f, g, n) of each basis of b (6, R) with the qubit settings
+    that maximize its chsh_lower, as family_chsh_bounds takes them: the
+    bases' outcome_terms and the unit vectors n (3, 4, R) of a1, a2, c1,
+    c2 along the sums of _best_sums (the z axis where a sum is zero)."""
+    f, g = outcome_terms(alpha, batched_columns(np.ascontiguousarray(b)))
+    n = _best_sums(g)
+    norm = np.sqrt((n * n).sum(axis=0))
+    zero = norm == 0.0  # n is 0 there: it becomes (0, 0, 1) / 1
+    norm += zero
+    n[2] += zero
+    n /= norm
+    return f, g, n

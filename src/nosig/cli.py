@@ -125,6 +125,13 @@ def _cmd_sweep(args) -> int:
         if created:
             os.remove(args.out)
         raise
+    for rec in records:
+        for name, capped in (("lower", rec.capped_lower),
+                             ("upper", rec.capped_upper)):
+            if capped:
+                print(f"warning: alpha={rec.alpha:.9g}: the best restart of "
+                      f"the {name} search stopped at --max-iters "
+                      f"{args.max_iters}", file=sys.stderr)
     text = (records_to_csv(records, args.precision) if args.format == "csv"
             else records_to_json(records, args.precision))
     if args.out is None:

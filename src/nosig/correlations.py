@@ -133,8 +133,10 @@ def outcome_terms(alpha: float, columns: np.ndarray
     n0, n1, n2 = columns.real ** 2 + columns.imag ** 2
     f = ca2 * n2 + 0.5 * sa2 * (1.0 - n2)
     w = b0 * b2.conj() + b2 * b1.conj()
-    g = np.stack([0.5 * s2a * w.real, 0.5 * s2a * w.imag,
-                  0.5 * sa2 * (n0 - n1)], axis=1)
+    g = np.empty((3, 3) + w.shape[1:])
+    np.multiply(0.5 * s2a, w.real, out=g[:, 0])
+    np.multiply(0.5 * s2a, w.imag, out=g[:, 1])
+    np.multiply(0.5 * sa2, n0 - n1, out=g[:, 2])
     return f, g
 
 

@@ -6,9 +6,10 @@ coordinate pairs (0,1), (0,2), (1,2).  Six angles cover every orthonormal
 basis up to per-column phases, which no downstream quantity depends on.
 The Givens chart is written once, as the entrywise product of the three
 rotations batched over a trailing row axis; a single basis is a batch of
-one.  The Bloch chart is written once too, batched for the optimizer's
-hot loop; a single setting evaluates it on scalars.  Only the qubit
-projector lives here: a qutrit outcome projects onto its basis column.
+one.  The Bloch chart is written once too, batched, with its inverse
+for the optimizer's winners; a single setting evaluates it on scalars.
+Only the qubit projector lives here: a qutrit outcome projects onto its
+basis column.
 """
 
 from __future__ import annotations
@@ -93,6 +94,13 @@ def bloch_vectors(theta: np.ndarray, phi: np.ndarray) -> tuple:
     """Batched Bloch chart: the (x, y, z) components, each theta's shape."""
     st = np.sin(theta)
     return st * np.cos(phi), st * np.sin(phi), np.cos(theta)
+
+
+def bloch_angles(n: np.ndarray) -> np.ndarray:
+    """The chart's inverse: (theta, phi) of the unit vectors n (3, ...),
+    as one (2, ...) array."""
+    x, y, z = n
+    return np.stack([np.arctan2(np.hypot(x, y), z), np.arctan2(y, x)])
 
 
 def batched_columns(b_angles: np.ndarray) -> np.ndarray:

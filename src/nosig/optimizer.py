@@ -3,16 +3,18 @@
 Both objectives (maximize the CHSH lower bound, minimize the upper
 bound) contain absolute values, so a derivative-free simplex method with
 standard coefficients is used.  The search runs over the six Givens
-angles of the shared qutrit basis: bounds._optimal_columns gives each
-basis its best four qubit settings in closed form, and their C-flip for
-the upper bound, so a trial point is scored by one family_chsh_bounds
-call at its 14-parameter family, which reuses the basis terms (f, g)
-that the rebuild computed.  Each trial point is centroid + coef *
-(centroid - worst) with coef 1 (reflection), then at most one follow-up
-per row: 2 (expansion), 1/2 or -1/2 (outside and inside contraction),
-all rows' follow-ups evaluated in one objective call.  A failed
-expansion keeps the reflection; a failed contraction shrinks the
-simplex by 1/2 towards its best vertex.
+angles of the shared qutrit basis: bounds._optimal_settings gives each
+basis its best four qubit settings in closed form, as unit vectors, and
+the upper bound negates the C vectors (their C-flip), so a trial point
+is scored by one family_chsh_bounds call on those vectors and the basis
+terms (f, g) that the rebuild computed, with no angle per trial.  Only
+each search's winner is turned into the 14 parameters it reports, with
+a flag for a winning restart that stopped at max_iters.  Each trial
+point is centroid + coef * (centroid - worst) with coef 1 (reflection),
+then at most one follow-up per row: 2 (expansion), 1/2 or -1/2 (outside
+and inside contraction), all rows' follow-ups evaluated in one objective
+call.  A failed expansion keeps the reflection; a failed contraction
+shrinks the simplex by 1/2 towards its best vertex.
 All restarts of one search advance in lockstep as rows of a batch so the
 hot loop is numpy array code rather than a Python loop per restart.
 Each vertex keeps a fixed slot in an (R*(d+1), d) array and an (R, d+1)
@@ -26,8 +28,9 @@ bounds have no floor to stop at.
 The diameter test tries the worst vertex first, and the objective sees
 at most 1000 rows per call.
 levenberg_marquardt_batch is the least-squares counterpart, with the
-same lockstep rows, block calls and target freeze; its forward
-differences need smooth residuals, which the scan's chart gives.
+same lockstep rows, block calls and target freeze, and one more: a row
+whose damping has climbed to its clip has stalled and freezes too.  Its
+forward differences need smooth residuals, which the scan's chart gives.
 
 Determinism: restart r of grid point i in a direction draws from the
 private stream of entropy seed and spawn key (i, direction, r), so runs
@@ -44,8 +47,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import _c_flip, _optimal_columns, family_chsh_bounds
+from .bounds import _optimal_settings, family_chsh_bounds
 from .errors import InvalidInputError
+from .measurements import bloch_angles
 from .states import _check_alpha
 from .tolerances import SIMPLEX_DIAMETER
 
@@ -87,6 +91,7 @@ class OptimizationResult:
     value: float
     params: np.ndarray
     iterations: int
+    capped: bool  # the best restart stopped at max_iters
 
 
 @dataclass(frozen=True)
@@ -99,6 +104,8 @@ class SweepRecord:
     params_upper: np.ndarray
     restarts: int
     iterations_total: int
+    capped_lower: bool  # OptimizationResult.capped of each search
+    capped_upper: bool
 
 
 def _in_blocks(objective, points: np.ndarray) -> np.ndarray:
@@ -199,7 +206,9 @@ def levenberg_marquardt_batch(residuals, x0: np.ndarray, *, max_iters: int,
     (J^T J + lambda max diag(J^T J) I) delta = -J^T r per row.  A row
     moves only if its sum of squares falls, a NaN one never counting as
     lower, and its lambda is then scaled by 0.3, else by 10 (Marquardt).
-    A row freezes once its norm is below target (a NaN norm never is).
+    A row freezes once its norm is below target (a NaN norm never is), or
+    once its lambda sits at the top of _DAMPING_RANGE: its steps have
+    shrunk to nothing, as at a stationary point with a nonzero norm.
     """
     x = np.array(x0, dtype=float)
     r, d = x.shape
@@ -210,7 +219,8 @@ def levenberg_marquardt_batch(residuals, x0: np.ndarray, *, max_iters: int,
     idx = np.arange(r)  # live rows
     eye = np.eye(d)
     for k in range(max_iters + 1):
-        idx = idx[~(np.sqrt(cost[idx]) < target)]
+        idx = idx[~(np.sqrt(cost[idx]) < target)
+                  & (lam[idx] < _DAMPING_RANGE[1])]
         if idx.size == 0 or k == max_iters:
             break
         n, xl, rl = idx.size, x[idx], res[idx]
@@ -270,25 +280,28 @@ def _search(alpha: float, cfg: OptimizerConfig, grid_index: int,
             direction: int) -> OptimizationResult:
     """Multi-start search over the B basis minimizing sign * bound, where
     the bound is family_chsh_bounds(...)[direction] at the basis's optimal
-    qubit settings (their C-flip for the upper bound) and sign flips the
-    lower bound."""
+    qubit settings (their C-flip, c -> -c, for the upper bound) and sign
+    flips the lower bound."""
     sign = -1.0 if direction == _LOWER else 1.0
 
-    def families(b):  # (R, 6) bases -> (R, 14) parameter rows, (f, g)
-        pt, terms = _optimal_columns(alpha, b.T)
-        return (pt if direction == _LOWER else _c_flip(pt)).T, terms
+    def terms(b):  # (R, 6) bases -> the kernel's (f, g, n)
+        f, g, n = _optimal_settings(alpha, b.T)
+        if direction == _UPPER:
+            np.negative(n[:, 2:], out=n[:, 2:])
+        return f, g, n
 
     def objective(b):
-        p, terms = families(b)  # the C-flip leaves the basis terms as they are
-        return sign * family_chsh_bounds(alpha, p, terms=terms)[direction]
+        return sign * family_chsh_bounds(alpha, b, terms=terms(b))[direction]
 
     pts, vals, iters = nelder_mead_batch(
         objective, _starts(cfg, grid_index, direction),
         max_iters=cfg.max_iters, tol=cfg.tol)
     k = int(np.argmin(vals))
-    return OptimizationResult(value=sign * float(vals[k]),
-                              params=families(pts[k:k + 1])[0][0].copy(),
-                              iterations=int(iters.sum()))
+    angles = bloch_angles(terms(pts[k:k + 1])[2][..., 0])  # (theta/phi, 4)
+    return OptimizationResult(
+        value=sign * float(vals[k]),
+        params=np.concatenate([angles.T.ravel(), pts[k]]),
+        iterations=int(iters.sum()), capped=bool(iters[k] >= cfg.max_iters))
 
 
 def maximize_chsh_lower(alpha: float, cfg: OptimizerConfig,
@@ -316,5 +329,6 @@ def sweep(cfg: OptimizerConfig) -> list[SweepRecord]:
             l_bar=lo.value, u_bar=up.value,
             params_lower=lo.params, params_upper=up.params,
             restarts=cfg.restarts,
-            iterations_total=lo.iterations + up.iterations))
+            iterations_total=lo.iterations + up.iterations,
+            capped_lower=lo.capped, capped_upper=up.capped))
     return records

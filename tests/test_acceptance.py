@@ -125,7 +125,7 @@ def test_canonical_sweep_csv_pinned(full_sweep):
     # writes, pinned across commits
     csv = records_to_csv(full_sweep).encode()
     assert hashlib.sha256(csv).hexdigest() == \
-        "f1be8e0cb0156790f0fd0de15505b2e688057a2bf32829e6e4a870bbfda8e2b5"
+        "113bdde9fb320596b5821e6a58eae27904b8aec2d127806e492874842c4a49c1"
 
 
 def test_criterion_5_chsh_threshold():

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from nosig.bounds import (BoundsReport, FamilyBounds, _best_sums, _c_flip,
-                          _optimal_columns, batched_columns, family_bounds,
+from nosig.bounds import (BoundsReport, FamilyBounds, _best_sums,
+                          _optimal_settings, family_bounds,
                           family_chsh_bounds, h_bounds)
 from nosig import tolerances as tol
 from nosig.correlations import (Decomposition, chsh_value, correlator,
                                 decompose, outcome_terms, quantum_joint)
 from nosig.errors import InvalidInputError, InvalidMarginalError
 from nosig.measurements import (BlochSetting, QutritBasis, SettingsFamily,
+                                batched_columns, bloch_angles, bloch_vectors,
                                 qutrit_unitary)
 
 Z = BlochSetting(0.0, 0.0)
@@ -20,6 +21,21 @@ GHZ_FAMILY = SettingsFamily(Z, Z, Z, Z, B_COMP)
 
 def random_family(rng):
     return SettingsFamily.from_params(rng.uniform(0, 2 * math.pi, 14))
+
+
+def c_flip(terms):
+    """Kernel terms with c1, c2 antipodal, as the upper search takes them."""
+    f, g, n = terms
+    n = n.copy()
+    n[:, 2:] = -n[:, 2:]
+    return f, g, n
+
+
+def params_of(terms, b):
+    """(R, 14) parameter rows of rebuilt settings: the Bloch angles of the
+    unit vectors, as the sweep prints them, then the bases b (6, R)."""
+    angles = bloch_angles(terms[2])  # (2, 4, R): theta, phi per setting
+    return np.concatenate([angles.swapaxes(0, 1).reshape(8, -1), b]).T
 
 
 class TestHBounds:
@@ -329,23 +345,26 @@ class TestOptimalSettings:
                                        math.pi / 2])
     def test_rebuilt_settings_reach_the_brute_force_max(self, alpha):
         b = self.bases(alpha)
-        g = outcome_terms(alpha, batched_columns(b))[1]
+        f, g = outcome_terms(alpha, batched_columns(b))
         best = self.brute_force_max(g)
-        reduced = 2 * np.linalg.norm(_best_sums(g), axis=2).sum(axis=0)
+        reduced = 2 * np.linalg.norm(_best_sums(g), axis=0).sum(axis=0)
         assert np.max(np.abs(reduced - best)) <= 1e-14
-        pt, _ = _optimal_columns(alpha, b)
-        assert pt[8:].tobytes() == b.tobytes()
-        lower, _ = family_chsh_bounds(alpha, pt.T)
+        terms = _optimal_settings(alpha, b)
+        assert terms[0].tobytes() == f.tobytes()
+        assert terms[1].tobytes() == g.tobytes()
+        assert np.max(np.abs(np.linalg.norm(terms[2], axis=0) - 1.0)) <= 1e-15
+        lower, _ = family_chsh_bounds(alpha, b.T, terms=terms)
         assert np.max(np.abs(lower - (-4.0 + best))) <= 1e-14
         # the C-flip of the same settings gives U = -L
-        _, upper = family_chsh_bounds(alpha, _c_flip(pt).T)
+        _, upper = family_chsh_bounds(alpha, b.T, terms=c_flip(terms))
         assert np.max(np.abs(upper + lower)) <= 1e-14
 
     @pytest.mark.parametrize("alpha", [0.0, 0.3, math.pi / 4, 1.2,
                                        math.pi / 2])
     def test_no_random_settings_do_better(self, alpha):
         b = self.bases(alpha)
-        lower = family_chsh_bounds(alpha, _optimal_columns(alpha, b)[0].T)[0]
+        lower = family_chsh_bounds(alpha, b.T,
+                                   terms=_optimal_settings(alpha, b))[0]
         rng = np.random.default_rng(7)
         trials = 500
         for start in range(0, self.N_BASES, 100):  # 50000 rows per call
@@ -360,40 +379,73 @@ class TestOptimalSettings:
 
     def test_batch_equals_single_rows_bitwise(self):
         b = self.bases(0.7)[:, :300]
-        pt, _ = _optimal_columns(0.7, b)
-        window = family_chsh_bounds(0.7, pt.T)
-        flipped = _c_flip(pt)
+        terms = _optimal_settings(0.7, b)
+        window = family_chsh_bounds(0.7, b.T, terms=terms)
+        flipped = family_chsh_bounds(0.7, b.T, terms=c_flip(terms))
         for k in range(0, 300, 13):
-            one, _ = _optimal_columns(0.7, b[:, k:k + 1])
-            assert one[:, 0].tobytes() == pt[:, k].tobytes()
-            assert _c_flip(one)[:, 0].tobytes() == flipped[:, k].tobytes()
-            lo, up = family_chsh_bounds(0.7, one.T)
-            assert lo[0] == window[0][k] and up[0] == window[1][k]
+            row = b[:, k:k + 1]
+            one = _optimal_settings(0.7, row)
+            for t1, t in zip(one, terms):
+                assert t1[..., 0].tobytes() == t[..., k].tobytes()
+            for t1, whole in ((one, window), (c_flip(one), flipped)):
+                lo, up = family_chsh_bounds(0.7, row.T, terms=t1)
+                assert lo[0] == whole[0][k] and up[0] == whole[1][k]
 
     @pytest.mark.parametrize("alpha", [0.0, 0.3, math.pi / 4, 1.2,
                                        math.pi / 2])
     def test_shared_terms_give_the_same_window_bitwise(self, alpha):
-        # the sweep hands the rebuild's (f, g) to the kernel, for the
-        # rebuilt settings and for their C-flip alike
-        b = self.bases(alpha)[:, :300]
-        for cols in (b, *(b[:, k:k + 1] for k in range(0, 300, 13))):
-            pt, terms = _optimal_columns(alpha, cols)
-            for p in (pt.T, _c_flip(pt).T):
-                shared = family_chsh_bounds(alpha, p, terms=terms)
-                own = family_chsh_bounds(alpha, p)
-                assert [w.tobytes() for w in shared] == \
-                    [w.tobytes() for w in own]
+        # the kernel's terms route on its own charts' (f, g, n) is the
+        # angle route, bit for bit, in one batch and row by row
+        p = np.random.default_rng(8).uniform(-2.0, 8.0, (300, 14))
+        for rows in (p, *(p[k:k + 1] for k in range(0, 300, 13))):
+            pt = np.ascontiguousarray(rows.T)
+            terms = (*outcome_terms(alpha, batched_columns(pt[8:])),
+                     np.array(bloch_vectors(pt[0:8:2], pt[1:8:2])))
+            shared = family_chsh_bounds(alpha, rows[:, 8:], terms=terms)
+            own = family_chsh_bounds(alpha, rows)
+            assert [w.tobytes() for w in shared] == \
+                [w.tobytes() for w in own]
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, math.pi / 4, 1.2,
+                                       math.pi / 2])
+    def test_vector_and_angle_paths_agree(self, alpha):
+        # the sweep scores a trial on its unit vectors and prints the
+        # winner's Bloch angles; both read the same window to 1e-14
+        b = self.bases(alpha)[:, :500]
+        for terms in (_optimal_settings(alpha, b),
+                      c_flip(_optimal_settings(alpha, b))):
+            vec = family_chsh_bounds(alpha, b.T, terms=terms)
+            ang = family_chsh_bounds(alpha, params_of(terms, b))
+            for v, a in zip(vec, ang):
+                assert np.max(np.abs(v - a)) <= 1e-14
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, math.pi / 4, 1.2,
+                                       math.pi / 2])
+    def test_negated_c_vectors_flip_the_window_bitwise(self, alpha):
+        # c -> -c swaps |a + c| and |a - c| exactly, so (L, U) -> (-U, -L)
+        b = self.bases(alpha)[:, :500]
+        terms = _optimal_settings(alpha, b)
+        lo, up = family_chsh_bounds(alpha, b.T, terms=terms)
+        lo_f, up_f = family_chsh_bounds(alpha, b.T, terms=c_flip(terms))
+        assert lo_f.tobytes() == (-up).tobytes()
+        assert up_f.tobytes() == (-lo).tobytes()
 
     def test_terms_of_another_batch_size_rejected(self):
         b = self.bases(0.3)[:, :4]
-        pt, (f, g) = _optimal_columns(0.3, b)
-        for terms in ((f[:, :3], g[:, :, :3]), (f, g[:, :, :3]), (g, f),
-                      (f,)):
+        f, g, n = _optimal_settings(0.3, b)
+        for terms in ((f[:, :3], g, n), (f, g[:, :, :3], n),
+                      (f, g, n[:, :, :3]), (f, g, n[:, :3]), (f, g, n[:2]),
+                      (g, f, n), (f, g)):
             with pytest.raises(InvalidInputError, match="terms"):
-                family_chsh_bounds(0.3, pt.T, terms=terms)
+                family_chsh_bounds(0.3, b.T, terms=terms)
+        # with terms, params is the (R, 6) bases alone
+        for params in (params_of((f, g, n), b), b.T[:3], b):
+            with pytest.raises(InvalidInputError, match="shape"):
+                family_chsh_bounds(0.3, params, terms=(f, g, n))
 
     def test_computational_basis_takes_the_z_axes(self):
-        # restart 0 of the sweep: every optimal sum lies on the z axis
-        for alpha in (0.4, 1.0, math.pi / 2):
-            pt, _ = _optimal_columns(alpha, np.zeros((6, 1)))
-            assert np.all((pt[0:8:2] == 0.0) | (pt[0:8:2] == math.pi))
+        # restart 0 of the sweep: every optimal sum lies on the z axis, and
+        # at alpha = 0, where every sum is zero, the z axis is the default
+        for alpha in (0.0, 0.4, 1.0, math.pi / 2):
+            n = _optimal_settings(alpha, np.zeros((6, 1)))[2]
+            assert np.all(n[:2] == 0.0) and np.all(np.abs(n[2]) == 1.0)

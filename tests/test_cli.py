@@ -7,9 +7,10 @@ import pytest
 
 from nosig import cli, feasibility
 from nosig.cli import (CSV_HEADER, main, parse_angle, parse_grid,
-                       parse_params)
+                       parse_params, records_to_csv, records_to_json)
 from nosig.errors import (DegenerateInputError, InvalidInputError,
                           InvalidMarginalError)
+from nosig.optimizer import OptimizerConfig, sweep
 from nosig.uniqueness import UniquenessScanReport
 
 SWEEP_ARGS = ["sweep", "--grid", "0:pi/2:3", "--restarts", "2",
@@ -146,6 +147,28 @@ class TestSweepCommand:
         default_out = capsys.readouterr().out
         main(base + ["--seed", "0"])
         assert default_out == capsys.readouterr().out
+
+    def test_capped_best_restart_warns_on_stderr(self, capsys):
+        # the warning goes to stderr alone: stdout keeps its CSV or JSON
+        # bytes, and the exit code stays 0
+        argv = ["sweep", "--grid", "pi/4", "--restarts", "2",
+                "--max-iters", "3"]
+        records = sweep(OptimizerConfig(restarts=2, max_iters=3,
+                                        alpha_grid=(math.pi / 4,)))
+        assert [(r.capped_lower, r.capped_upper) for r in records] == \
+            [(True, True)]
+        for fmt, render in (("csv", records_to_csv),
+                            ("json", records_to_json)):
+            assert main(argv + ["--format", fmt]) == 0
+            out, err = capsys.readouterr()
+            assert out == render(records)
+            assert err.splitlines() == [
+                f"warning: alpha=0.785398163: the best restart of the "
+                f"{name} search stopped at --max-iters 3"
+                for name in ("lower", "upper")]
+        assert main(["sweep", "--grid", "pi/4", "--restarts", "20",
+                     "--seed", "1"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_unwritable_out_usage_error(self, capsys, tmp_path):
         path = tmp_path / "missing" / "x.csv"
@@ -428,7 +451,7 @@ class TestGoldenDigests:
         argv = ["sweep", "--grid", "0:pi/2:5", "--restarts", "3",
                 "--max-iters", "400", "--seed", "7"]
         assert self.digest(capsys, argv) == \
-            "720ef34d8fd007812077d96c027d23aa13a468e60a4710aa09962f2692768c8f"
+            "2b4985cc30262c3c3b40ac84f7d2c486ecbef92d04b19bdb9b2084f53e79f896"
 
     def test_uniqueness(self, capsys):
         argv = ["uniqueness", "--alpha", "0.8", "--samples", "200",

@@ -219,24 +219,44 @@ class TestLevenbergMarquardtBatch:
         assert np.all(h[-1] < h[0])
 
     def test_nan_never_accepted_nor_frozen(self):
-        # target = inf freezes every finite row at once; a NaN row runs to
-        # max_iters where it started, its lambda rising 400 times without
-        # overflow.  A row whose zero (x = 2) lies in the NaN region
-        # (x >= 1) never steps into it and ends below x = 1
+        # target = inf freezes every finite row at once; a NaN row is
+        # never accepted nor frozen by the target: its lambda rises 23
+        # times, from 1e-3 to the 1e20 clip, without overflow, and the row
+        # stops there where it started.  A row whose zero (x = 2) lies in
+        # the NaN region (x >= 1) never steps into it and stalls below x = 1
         def residuals(p):
             return np.where(p[:, :1] < 1.0, p[:, :1] - 2.0, np.nan)
 
         x0 = np.array([[0.0], [1.5]])
         pts, vals, iters = levenberg_marquardt_batch(
             residuals, x0, max_iters=400, target=math.inf)
-        assert iters.tolist() == [0, 400]
+        assert iters.tolist() == [0, 23]
         assert pts.tobytes() == x0.tobytes()
         assert vals[0] == 2.0 and np.isnan(vals[1])
         pts, vals, iters = levenberg_marquardt_batch(
             residuals, x0, max_iters=40, target=0.0)
-        assert iters.tolist() == [40, 40]
+        assert iters.tolist() == [25, 23]
         assert 0.9 < pts[0, 0] < 1.0 and 1.0 < vals[0] < 1.1
         assert pts[1, 0] == 1.5 and np.isnan(vals[1])
+
+    def test_stalled_row_freezes_and_keeps_its_point(self):
+        # (x0, x1, 1) has norm 1 at its stationary point 0, above target.
+        # Once no step lowers the cost, lambda climbs to its clip and the
+        # row stops long before max_iters, at the point it reached; a row
+        # that starts there never moves
+        def residuals(p):
+            return np.column_stack([p, np.ones(len(p))])
+
+        x0 = np.array([[0.0, 0.0], [0.5, -0.3], [3.0, 1e-3]])
+        out = levenberg_marquardt_batch(residuals, x0, max_iters=200,
+                                        target=1e-8)
+        pts, vals, iters = out
+        assert iters[0] == 23 and np.all(iters < 200)
+        assert pts[0].tobytes() == x0[0].tobytes()
+        assert np.all(vals == 1.0) and np.max(np.abs(pts)) < 1e-9
+        longer = levenberg_marquardt_batch(residuals, x0, max_iters=2000,
+                                           target=1e-8)
+        assert [a.tobytes() for a in longer] == [a.tobytes() for a in out]
 
 
 class TestLiveness:
