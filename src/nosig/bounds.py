@@ -42,7 +42,7 @@ the terms that family_chsh_bounds takes in place of angles: a sweep
 trial evaluates its basis once and computes no angle, and only a
 search's winner is turned into Bloch angles.  Their C-flip c -> -c, a
 negation of the C vectors, maps the window (L, U) to (-U, -L) bit for
-bit, so it minimizes chsh_upper, at -L.
+bit, so it minimizes chsh_upper, at -L; the sweep flips winners only.
 """
 
 from __future__ import annotations

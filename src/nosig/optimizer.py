@@ -1,15 +1,15 @@
 """Multi-start Nelder-Mead search over the B basis of a CHSH family.
 
-Both objectives (maximize the CHSH lower bound, minimize the upper
-bound) contain absolute values, so a derivative-free simplex method with
-standard coefficients is used.  The search runs over the six Givens
-angles of the shared qutrit basis: bounds._optimal_settings gives each
-basis its best four qubit settings in closed form, as unit vectors, and
-the upper bound negates the C vectors (their C-flip), so a trial point
-is scored by one family_chsh_bounds call on those vectors and the basis
-terms (f, g) that the rebuild computed, with no angle per trial.  Only
-each search's winner is turned into the 14 parameters it reports, with
-a flag for a winning restart that stopped at max_iters.  Each trial
+The objective, -chsh_lower, contains absolute values, so a
+derivative-free simplex method with standard coefficients is used.  The
+search runs over the six Givens angles of the shared qutrit basis:
+bounds._optimal_settings gives each basis its best four qubit settings
+in closed form, as unit vectors, and one family_chsh_bounds call scores
+a trial on them and the basis terms (f, g), with no angle per trial.
+The C-flip c -> -c maps (L, U) to (-U, -L) bit for bit, so the upper
+search minimizes the same -L from its own starts.  Only each search's
+winner, C-flipped for the upper bound, is turned into the 14 parameters
+it reports, with a flag if its restart stopped at max_iters.  Each trial
 point is centroid + coef * (centroid - worst) with coef 1 (reflection),
 then at most one follow-up per row: 2 (expansion), 1/2 or -1/2 (outside
 and inside contraction), all rows' follow-ups evaluated in one objective
@@ -60,8 +60,7 @@ _DAMPING = 1e-3  # Marquardt's first lambda: a nearly Gauss-Newton first step
 _DAMPING_RANGE = (1e-20, 1e20)
 _BLOCK_ROWS = 1000  # largest batch one objective call sees
 # Stream spawn keys: (grid_index, direction, restart) per sweep restart,
-# (_SCAN,) for the uniqueness scan.  Directions also index
-# family_chsh_bounds' pair.
+# (_SCAN,) for the uniqueness scan.
 _LOWER, _UPPER, _SCAN = 0, 1, 2
 
 
@@ -278,28 +277,24 @@ def _starts(cfg: OptimizerConfig, grid_index: int, direction: int) -> np.ndarray
 
 def _search(alpha: float, cfg: OptimizerConfig, grid_index: int,
             direction: int) -> OptimizationResult:
-    """Multi-start search over the B basis minimizing sign * bound, where
-    the bound is family_chsh_bounds(...)[direction] at the basis's optimal
-    qubit settings (their C-flip, c -> -c, for the upper bound) and sign
-    flips the lower bound."""
-    sign = -1.0 if direction == _LOWER else 1.0
-
-    def terms(b):  # (R, 6) bases -> the kernel's (f, g, n)
-        f, g, n = _optimal_settings(alpha, b.T)
-        if direction == _UPPER:
-            np.negative(n[:, 2:], out=n[:, 2:])
-        return f, g, n
-
+    """Multi-start search over the B basis minimizing -chsh_lower at the
+    basis's optimal qubit settings, from the direction's own starts.  The
+    C-flip c -> -c maps that -L to chsh_upper bit for bit, so the upper
+    search reports the minimum as it is and flips only its winner."""
     def objective(b):
-        return sign * family_chsh_bounds(alpha, b, terms=terms(b))[direction]
+        return -family_chsh_bounds(
+            alpha, b, terms=_optimal_settings(alpha, b.T))[0]
 
     pts, vals, iters = nelder_mead_batch(
         objective, _starts(cfg, grid_index, direction),
         max_iters=cfg.max_iters, tol=cfg.tol)
     k = int(np.argmin(vals))
-    angles = bloch_angles(terms(pts[k:k + 1])[2][..., 0])  # (theta/phi, 4)
+    n = _optimal_settings(alpha, pts[k:k + 1].T)[2][..., 0]  # (axis, 4)
+    if direction == _UPPER:  # the C-flip: U at these settings is -L
+        n[:, 2:] *= -1.0
+    angles = bloch_angles(n)  # (theta/phi, 4)
     return OptimizationResult(
-        value=sign * float(vals[k]),
+        value=float(vals[k]) if direction == _UPPER else -float(vals[k]),
         params=np.concatenate([angles.T.ravel(), pts[k]]),
         iterations=int(iters.sum()), capped=bool(iters[k] >= cfg.max_iters))
 

@@ -17,11 +17,13 @@ from .errors import InvalidInputError
 
 
 def check_hermitian(m) -> np.ndarray:
-    """Validate that m is Hermitian within Frobenius tolerance."""
+    """Validate that m is finite and Hermitian within Frobenius tolerance."""
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidInputError(f"matrix is not square: shape={a.shape}")
-    if float(np.linalg.norm(a - a.conj().T)) > tol.HERMITIAN:
+    if not np.isfinite(a).all():
+        raise InvalidInputError("matrix has a NaN or inf entry")
+    if not np.linalg.norm(a - a.conj().T) <= tol.HERMITIAN:
         raise InvalidInputError("matrix is not hermitian within tolerance")
     return a
 
@@ -30,11 +32,11 @@ def check_density(m) -> np.ndarray:
     """Validate that m is a density matrix: Hermitian, unit trace, PSD."""
     a = check_hermitian(m)
     tr = complex(np.trace(a))
-    if abs(tr - 1.0) > tol.DENSITY_TRACE:
+    if not abs(tr - 1.0) <= tol.DENSITY_TRACE:
         raise InvalidInputError(f"trace is {tr!r}, expected 1")
-    eigs = hermitian_eigenvalues(a)
-    if eigs[0] < tol.DENSITY_MIN_EIG:
-        raise InvalidInputError(f"minimum eigenvalue {eigs[0]!r} below floor")
+    low = float(np.linalg.eigvalsh(a)[0])
+    if not low >= tol.DENSITY_MIN_EIG:
+        raise InvalidInputError(f"minimum eigenvalue {low!r} below floor")
     return a
 
 

@@ -142,7 +142,7 @@ class UniquenessScanReport:
     distance_at_min: float
     near_zero_count: int
     max_distance_near_zero: float
-    n_capped: int
+    n_capped: int  # rows that used all of the last round's iterations
     next_residual: float
     stop_residual: float
     confirmed: bool
@@ -381,9 +381,9 @@ def uniqueness_scan(alpha: float, n_samples: int = 10000,
         lambda points: _residual_terms(a, points), _rechart(best),
         max_iters=_LM_ITERS, target=stop)
     n_least_squares = int(np.count_nonzero(vals < stop))
-    for max_iters in _ROUND_ITERS:  # restarts unflatten stalled simplices
+    for cap in _ROUND_ITERS:  # restarts unflatten stalled simplices
         best, vals, iters = nelder_mead_batch(
-            objective, best, max_iters=max_iters,
+            objective, best, max_iters=cap,
             tol=tol.SIMPLEX_DIAMETER, target=stop)
     dists = _distance_chart(best)
     k = int(np.argmin(vals))
@@ -395,7 +395,7 @@ def uniqueness_scan(alpha: float, n_samples: int = 10000,
         distance_at_min=float(dists[k]),
         near_zero_count=int(np.count_nonzero(near)),
         max_distance_near_zero=max_dist_near,
-        n_capped=int(np.count_nonzero(iters >= max_iters)),
+        n_capped=int(np.count_nonzero(iters >= _ROUND_ITERS[-1])),
         next_residual=float(np.min(vals[~near], initial=np.inf)),
         stop_residual=stop,
         confirmed=bool(np.any(near)

@@ -340,12 +340,16 @@ class TestEndpoints:
 
 
 class TestSearchInvariants:
-    def test_reevaluation_matches_reported_value(self):
-        lo = maximize_chsh_lower(0.7, FAST)
-        up = minimize_chsh_upper(0.7, FAST)
-        assert family_chsh_bounds(0.7, lo.params[None, :])[0][0] == \
+    # both branches of the closed form and the endpoints, where a zero sum
+    # falls back to the z axis: the upper winner's C-flip must hold on each
+    @pytest.mark.parametrize("alpha", [0.0, 0.7, math.pi / 4, 1.2,
+                                       math.pi / 2])
+    def test_reevaluation_matches_reported_value(self, alpha):
+        lo = maximize_chsh_lower(alpha, FAST)
+        up = minimize_chsh_upper(alpha, FAST)
+        assert family_chsh_bounds(alpha, lo.params[None, :])[0][0] == \
             pytest.approx(lo.value, abs=1e-12)
-        assert family_chsh_bounds(0.7, up.params[None, :])[1][0] == \
+        assert family_chsh_bounds(alpha, up.params[None, :])[1][0] == \
             pytest.approx(up.value, abs=1e-12)
 
     def test_restart_dominance(self):

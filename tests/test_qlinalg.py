@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nosig.correlations import horodecki_chsh_max
 from nosig.errors import InvalidInputError
 from nosig.qlinalg import (check_density, check_hermitian,
                            hermitian_eigenvalues, partial_trace)
@@ -117,3 +118,28 @@ class TestChecks:
     def test_check_density_rejects_negative(self):
         with pytest.raises(InvalidInputError):
             check_density(np.diag([1.5, -0.5]))
+
+
+def _non_finite():
+    """NaN and inf filled matrices, and the maximally mixed two-qubit state
+    with one NaN or inf on the diagonal or one inf pair off it."""
+    out = [np.full((4, 4), np.nan), np.full((4, 4), np.inf)]
+    for bad in (np.nan, np.inf, -np.inf):
+        m = np.eye(4) / 4
+        m[0, 0] = bad
+        out.append(m)
+    m = np.eye(4) / 4
+    m[0, 1] = m[1, 0] = np.inf
+    out.append(m)
+    return out
+
+
+class TestNonFiniteInputs:
+    # a NaN compares False either way, so every check has to fail closed
+    @pytest.mark.parametrize("check", [check_hermitian, check_density,
+                                       hermitian_eigenvalues,
+                                       horodecki_chsh_max])
+    @pytest.mark.parametrize("m", _non_finite())
+    def test_rejected(self, check, m):
+        with pytest.raises(InvalidInputError):
+            check(m)
