@@ -15,11 +15,11 @@ measures the margin 2 - L_bar, whose sign is not in doubt.
 One batched kernel gives the per-outcome h ranges of the four
 measurement pairs, outcome-major with the row axis last, so a sum over
 outcomes is two slab adds.  family_chsh_bounds sums them over a batch
-of 14-parameter families (the optimizer's hot loop); family_bounds is a
-batch of one and the only per-pair report.  Both share the closed form
-correlations.outcome_terms, so the independent check is the Born rule:
-the test suite rebuilds every per-outcome window from
-decompose(quantum_joint(...)) and pins the kernel to it at 1e-12.
+of 14-parameter families; family_bounds is a batch of one and the only
+per-pair report.  Both share the closed form correlations.outcome_terms,
+so the independent check is the Born rule: the test suite rebuilds every
+per-outcome window from decompose(quantum_joint(...)) and pins the
+kernel to it at 1e-12.
 
 For a fixed B basis the best qubit settings have a closed form.  The
 bias of setting n at outcome b is g_b . n, with sum_b f_b = 1 and
@@ -36,13 +36,17 @@ keeps its value under the relabelings (v21, v22, v11, v12) and
 (v12, v11, -v22, -v21), whose v11 and v22 have the signs of v21, v12
 and of v12, -v21; one of them makes the two signs equal, v -> -v makes
 both positive, so v11 and v22 can be taken in {2 g_0, 2 g_1, 2 g_2}.
-_optimal_settings rebuilds those settings for a batch of bases as unit
-vectors along the four sums, and returns them with the bases' (f, g) as
-the terms that family_chsh_bounds takes in place of angles: a sweep
-trial evaluates its basis once and computes no angle, and only a
-search's winner is turned into Bloch angles.  Their C-flip c -> -c, a
-negation of the C vectors, maps the window (L, U) to (-U, -L) bit for
-bit, so it minimizes chsh_upper, at -L; the sweep flips winners only.
+
+Every norm in that sum is twice one of ten that depend on the
+q_b = |g_b|^2 alone (the _NORM2 table below), so the best lower bound of
+a basis is L = -4 + 2 Psi(q_0, q_1, q_2), with Psi the maximum over that
+table (_norm_table).  A 6-column row of family_chsh_bounds is a basis
+at its best settings: its window is (-4 + 2 Psi, 4 - 2 Psi), with no
+settings built and no kernel call.  The C-flip c -> -c swaps |a + c|
+and |a - c|, so it maps (L, U) to (-U, -L), and the smallest U over
+settings is minus the largest L.  The sweep scores its trials so; only a
+search's winner gets settings, from _optimal_settings, as unit vectors
+along the four sums of _best_sums.
 """
 
 from __future__ import annotations
@@ -111,19 +115,13 @@ class FamilyBounds:
                 or self.chsh_upper < -2.0 - tol.VIOLATION_STRICT)
 
 
-def _pair_ranges(alpha: float, p: np.ndarray, terms=None
-                 ) -> tuple[np.ndarray, ...]:
+def _pair_ranges(alpha: float, p: np.ndarray) -> tuple[np.ndarray, ...]:
     """Per-outcome h ranges (lower, upper), each (3, 2, 2, R), of (R, 14)
     parameter rows, then their sums over outcomes, each (2, 2, R).  Index
-    [b, x, z, r] is outcome b of the pair of A setting x and C setting z.
-    terms, when given, is (f, g, n) as family_chsh_bounds takes it, and
-    p is not read."""
-    if terms is None:
-        pt = np.ascontiguousarray(p.T)
-        f, g = outcome_terms(alpha, batched_columns(pt[8:14]))
-        n = bloch_vectors(pt[0:8:2], pt[1:8:2])
-    else:
-        f, g, n = terms
+    [b, x, z, r] is outcome b of the pair of A setting x and C setting z."""
+    pt = np.ascontiguousarray(p.T)
+    f, g = outcome_terms(alpha, batched_columns(pt[8:14]))
+    n = bloch_vectors(pt[0:8:2], pt[1:8:2])
     # biases of a1, a2, c1, c2 along their Bloch vectors, (outcome, 4, R)
     bias = g[:, 0, None] * n[0] + g[:, 1, None] * n[1] + g[:, 2, None] * n[2]
     lo, up = _h_range(f[:, None, None], bias[:, :2, None], bias[:, None, 2:])
@@ -149,31 +147,29 @@ def family_bounds(alpha: float, fam: SettingsFamily) -> FamilyBounds:
         chsh_lower=float(chsh_lower[0]), chsh_upper=float(chsh_upper[0]))
 
 
-def family_chsh_bounds(alpha: float, params: np.ndarray, *, terms=None
+def family_chsh_bounds(alpha: float, params: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray]:
     """(chsh_lower, chsh_upper) for a batch of parameter vectors.
 
     params has shape (R, 14), or (14,), laid out as SettingsFamily.to_params;
     the result is a pair of (R,) arrays.  family_bounds is the same kernel
     on a batch of one; the test suite checks both against the Born rule.
-    terms, if given, holds the kernel's inputs, as _optimal_settings
-    returns them: the bases' outcome_terms f (3, R) and g (3, 3, R), and
-    the unit vectors n (3, 4, R), axis first, of a1, a2, c1, c2.  params
-    is then the (R, 6) bases alone, and the kernel skips the Givens and
-    Bloch charts; with n = bloch_vectors of the qubit angles the result is
-    the same, bit for bit.
+    Rows of 6, the Givens angles of a B basis alone, give its window at
+    its best settings, (-4 + 2 Psi, 4 - 2 Psi) (module docstring).
     """
     p = np.atleast_2d(np.asarray(params, dtype=float))
-    width = 14 if terms is None else 6
-    if p.ndim != 2 or p.shape[1] != width:
+    if p.ndim != 2 or p.shape[1] not in (6, 14):
         raise InvalidInputError(
-            f"params must have shape (R, {width}), got {p.shape}")
-    r = len(p)
-    if terms is not None and [np.shape(t) for t in terms] != [
-            (3, r), (3, 3, r), (3, 4, r)]:
-        raise InvalidInputError(f"terms must have shapes (3, {r}), "
-                                f"(3, 3, {r}) and (3, 4, {r})")
-    return _chsh_window(*_pair_ranges(_check_alpha(alpha), p, terms)[2:])
+            f"params must have shape (R, 14) or (R, 6), got {p.shape}")
+    if not np.isfinite(p).all():
+        raise InvalidInputError("params must be finite")
+    alpha = _check_alpha(alpha)
+    if p.shape[1] == 14:
+        return _chsh_window(*_pair_ranges(alpha, p)[2:])
+    best = _norm_table(outcome_terms(
+        alpha, batched_columns(np.ascontiguousarray(p.T)))[1])[1]
+    lower = -4.0 + 2.0 * best.max(axis=0)
+    return lower, -lower
 
 
 # V = (g0, g1, g2, -g0, -g1, -g2), the signed bias vectors of a basis
@@ -194,17 +190,24 @@ _PLUS = np.array([[1, 6, 5, 0, 9, 8],
 _EDGES = np.stack([_PLUS[:, 3:], _PLUS[:, :3]])
 
 
+def _norm_table(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The norm table t (3, 2, 6, 3, R) of the bases g (3, 3, R), and the
+    best sum (9, R) of each (v11, v22) = (g_i, g_l), at row 3 i + l.
+    t[i, edge, j or k, l] is |v11 + v12| + |v12 - v22| for edge 0 and
+    |v11 + v21| + |v21 + v22| for edge 1, with v12 = V_j or v21 = V_k."""
+    nv = np.sqrt(np.maximum((_NORM2 * (g * g).sum(axis=1)).sum(axis=1), 0.0))
+    t = nv[_PLUS[:3, None, :, None]] + nv[_EDGES]
+    m = t.max(axis=2)
+    return t, (m[:, 0] + m[:, 1]).reshape(9, -1)
+
+
 def _best_sums(g: np.ndarray) -> np.ndarray:
     """The sums v11+v12, v21+v22, v11+v21, v12-v22, (axis, 4, R), of a
     tuple of signed bias vectors that maximizes the module docstring's sum,
     per column of g (3, 3, R): the best (v11, v22) in (g0, g1, g2)^2 for
-    the best v12 plus the best v21, on (3, 2, 6, 3, R) arrays of norms."""
-    nv = np.sqrt(np.maximum((_NORM2 * (g * g).sum(axis=1)).sum(axis=1), 0.0))
-    # [i, edge, j or k, l, R]: |v11 + v12| + |v12 - v22| for edge 0 and
-    # |v11 + v21| + |v21 + v22| for edge 1, with v11 = g_i and v22 = g_l
-    t = nv[_PLUS[:3, None, :, None]] + nv[_EDGES]
-    m = t.max(axis=2)
-    i, l = np.divmod((m[:, 0] + m[:, 1]).reshape(9, -1).argmax(axis=0), 3)
+    the best v12 plus the best v21, on the tables of _norm_table."""
+    t, best = _norm_table(g)
+    i, l = np.divmod(best.argmax(axis=0), 3)
     cols = np.arange(i.size)
     j, k = t[i, :, :, l, cols].argmax(axis=2).T
     gt = g.swapaxes(0, 1)
@@ -214,16 +217,13 @@ def _best_sums(g: np.ndarray) -> np.ndarray:
     return v[:, :4] + v[:, 4:]
 
 
-def _optimal_settings(alpha: float, b: np.ndarray) -> tuple:
-    """terms (f, g, n) of each basis of b (6, R) with the qubit settings
-    that maximize its chsh_lower, as family_chsh_bounds takes them: the
-    bases' outcome_terms and the unit vectors n (3, 4, R) of a1, a2, c1,
-    c2 along the sums of _best_sums (the z axis where a sum is zero)."""
-    f, g = outcome_terms(alpha, batched_columns(np.ascontiguousarray(b)))
-    n = _best_sums(g)
+def _optimal_settings(alpha: float, b: np.ndarray) -> np.ndarray:
+    """Unit vectors n (3, 4, R), axis first, of the qubit settings a1, a2,
+    c1, c2 that maximize the chsh_lower of each basis of b (6, R): along
+    the sums of _best_sums, and the z axis where a sum is zero."""
+    n = _best_sums(outcome_terms(
+        alpha, batched_columns(np.ascontiguousarray(b)))[1])
     norm = np.sqrt((n * n).sum(axis=0))
     zero = norm == 0.0  # n is 0 there: it becomes (0, 0, 1) / 1
-    norm += zero
     n[2] += zero
-    n /= norm
-    return f, g, n
+    return n / (norm + zero)

@@ -2,19 +2,19 @@
 
 The objective, -chsh_lower, contains absolute values, so a
 derivative-free simplex method with standard coefficients is used.  The
-search runs over the six Givens angles of the shared qutrit basis:
-bounds._optimal_settings gives each basis its best four qubit settings
-in closed form, as unit vectors, and one family_chsh_bounds call scores
-a trial on them and the basis terms (f, g), with no angle per trial.
-The C-flip c -> -c maps (L, U) to (-U, -L) bit for bit, so the upper
-search minimizes the same -L from its own starts.  Only each search's
-winner, C-flipped for the upper bound, is turned into the 14 parameters
-it reports, with a flag if its restart stopped at max_iters.  Each trial
-point is centroid + coef * (centroid - worst) with coef 1 (reflection),
-then at most one follow-up per row: 2 (expansion), 1/2 or -1/2 (outside
-and inside contraction), all rows' follow-ups evaluated in one objective
-call.  A failed expansion keeps the reflection; a failed contraction
-shrinks the simplex by 1/2 towards its best vertex.
+search runs over the six Givens angles of the shared qutrit basis: one
+family_chsh_bounds call on 6-column rows scores each trial basis at its
+best qubit settings, L = -4 + 2 Psi off its norm table, with no settings
+built.  The C-flip c -> -c maps (L, U) to (-U, -L), so the upper search
+minimizes the same -L from its own starts.  Only each search's winner
+gets its settings (bounds._optimal_settings), C-flipped for the upper
+bound, and is reported as 14 parameters, with a flag if its restart
+stopped at max_iters.  Each trial point is centroid + coef * (centroid -
+worst) with coef 1 (reflection), then at most one follow-up per row: 2
+(expansion), 1/2 or -1/2 (outside and inside contraction), all rows'
+follow-ups evaluated in one objective call.  A failed expansion keeps the
+reflection; a failed contraction shrinks the simplex by 1/2 towards its
+best vertex.
 All restarts of one search advance in lockstep as rows of a batch so the
 hot loop is numpy array code rather than a Python loop per restart.
 Each vertex keeps a fixed slot in an (R*(d+1), d) array and an (R, d+1)
@@ -279,17 +279,16 @@ def _search(alpha: float, cfg: OptimizerConfig, grid_index: int,
             direction: int) -> OptimizationResult:
     """Multi-start search over the B basis minimizing -chsh_lower at the
     basis's optimal qubit settings, from the direction's own starts.  The
-    C-flip c -> -c maps that -L to chsh_upper bit for bit, so the upper
-    search reports the minimum as it is and flips only its winner."""
+    C-flip c -> -c maps that -L to chsh_upper, so the upper search
+    reports the minimum as it is and flips only its winner."""
     def objective(b):
-        return -family_chsh_bounds(
-            alpha, b, terms=_optimal_settings(alpha, b.T))[0]
+        return -family_chsh_bounds(alpha, b)[0]
 
     pts, vals, iters = nelder_mead_batch(
         objective, _starts(cfg, grid_index, direction),
         max_iters=cfg.max_iters, tol=cfg.tol)
     k = int(np.argmin(vals))
-    n = _optimal_settings(alpha, pts[k:k + 1].T)[2][..., 0]  # (axis, 4)
+    n = _optimal_settings(alpha, pts[k:k + 1].T)[..., 0]  # (axis, 4)
     if direction == _UPPER:  # the C-flip: U at these settings is -L
         n[:, 2:] *= -1.0
     angles = bloch_angles(n)  # (theta/phi, 4)

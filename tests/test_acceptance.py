@@ -18,7 +18,7 @@ import pytest
 from nosig.cli import main, records_to_csv
 from nosig.correlations import (correlator, decompose, fach_closed_form,
                                 horodecki_chsh_max, quantum_joint, recompose)
-from nosig.bounds import family_bounds
+from nosig.bounds import family_bounds, family_chsh_bounds, h_bounds
 from nosig.feasibility import theorem1_check
 from nosig.measurements import BlochSetting, QutritBasis, SettingsFamily
 from nosig import optimizer
@@ -99,6 +99,33 @@ def test_lower_and_upper_searches_agree_to_round_off(full_sweep):
         assert abs(rec.u_bar + rec.l_bar) <= 1e-12, rec.alpha
 
 
+def born_window(alpha, params):
+    """(L, U) of one 14-parameter family from Born-rule statistics alone:
+    each pair's windows via quantum_joint -> decompose -> h_bounds."""
+    fam = SettingsFamily.from_params(params)
+    lo, up = {}, {}
+    for x, a in enumerate((fam.a1, fam.a2)):
+        for z, c in enumerate((fam.c1, fam.c2)):
+            d = decompose(quantum_joint(alpha, a, fam.b, c))
+            lo[x, z], up[x, z] = (float(np.sum(w))
+                                  for w in h_bounds(d.f, d.a, d.c))
+    return (lo[0, 0] + lo[0, 1] + lo[1, 0] - up[1, 1],
+            up[0, 0] + up[0, 1] + up[1, 0] - lo[1, 1])
+
+
+def test_every_winner_audited_against_the_born_rule(full_sweep):
+    # the printed L_bar and U_bar are read off the norm table (bounds
+    # docstring); at each record's reported settings, the 14-angle kernel
+    # and the Born rule must both give them back
+    for rec in full_sweep:
+        for params, value, side in ((rec.params_lower, rec.l_bar, 0),
+                                    (rec.params_upper, rec.u_bar, 1)):
+            kernel = family_chsh_bounds(rec.alpha, params)[side][0]
+            born = born_window(rec.alpha, params)[side]
+            assert abs(kernel - value) <= 1e-12, (rec.alpha, side, kernel)
+            assert abs(born - value) <= 1e-12, (rec.alpha, side, born)
+
+
 def test_complex_branch_of_the_curve(full_sweep):
     # ROADMAP item 6: up to alpha* in (0.950, 0.960), L_bar = -4 + kappa
     # sin 2alpha (kappa as in test_optimizer); grid points 13-20 lie past
@@ -125,7 +152,7 @@ def test_canonical_sweep_csv_pinned(full_sweep):
     # writes, pinned across commits
     csv = records_to_csv(full_sweep).encode()
     assert hashlib.sha256(csv).hexdigest() == \
-        "113bdde9fb320596b5821e6a58eae27904b8aec2d127806e492874842c4a49c1"
+        "a1bd8d002ba307042d637960633c75a6da5e95209c5225887e4e2d0ac56e2b58"
 
 
 def test_criterion_5_chsh_threshold():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,8 +12,7 @@ from nosig.correlations import (Decomposition, chsh_value, correlator,
                                 decompose, outcome_terms, quantum_joint)
 from nosig.errors import InvalidInputError, InvalidMarginalError
 from nosig.measurements import (BlochSetting, QutritBasis, SettingsFamily,
-                                batched_columns, bloch_angles, bloch_vectors,
-                                qutrit_unitary)
+                                batched_columns, bloch_angles, qutrit_unitary)
 
 Z = BlochSetting(0.0, 0.0)
 B_COMP = QutritBasis((0.0,) * 6)
@@ -23,18 +23,19 @@ def random_family(rng):
     return SettingsFamily.from_params(rng.uniform(0, 2 * math.pi, 14))
 
 
-def c_flip(terms):
-    """Kernel terms with c1, c2 antipodal, as the upper search takes them."""
-    f, g, n = terms
+def c_flip(n):
+    """Unit vectors (3, 4, R) with c1, c2 antipodal, as the upper search
+    flips its winner."""
     n = n.copy()
     n[:, 2:] = -n[:, 2:]
-    return f, g, n
+    return n
 
 
-def params_of(terms, b):
+def params_of(n, b):
     """(R, 14) parameter rows of rebuilt settings: the Bloch angles of the
-    unit vectors, as the sweep prints them, then the bases b (6, R)."""
-    angles = bloch_angles(terms[2])  # (2, 4, R): theta, phi per setting
+    unit vectors n (3, 4, R), as the sweep prints them, then the bases b
+    (6, R)."""
+    angles = bloch_angles(n)  # (2, 4, R): theta, phi per setting
     return np.concatenate([angles.swapaxes(0, 1).reshape(8, -1), b]).T
 
 
@@ -285,11 +286,31 @@ class TestBatchedPath:
         with pytest.raises(InvalidInputError, match="14"):
             family_chsh_bounds(0.5, np.zeros(shape))
 
+    @pytest.mark.parametrize("width", [5, 7])
+    def test_row_width_other_than_6_or_14_rejected(self, width):
+        for shape in ((3, width), (width,)):
+            with pytest.raises(InvalidInputError, match=r"14\).*6\)"):
+                family_chsh_bounds(0.5, np.zeros(shape))
+
+    @pytest.mark.parametrize("width", [6, 14])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_rejected(self, width, bad):
+        # as family_bounds rejects the same angles, with no numpy warning
+        p = np.zeros((4, width))
+        p[2, width - 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="finite"):
+                family_chsh_bounds(0.5, p)
+            with pytest.raises(InvalidInputError, match="finite"):
+                family_chsh_bounds(0.5, p[2])
+
     def test_one_row_vector_accepted(self):
-        p = np.random.default_rng(55).uniform(0, 2 * math.pi, 14)
-        lo, up = family_chsh_bounds(0.5, p)
-        lo1, up1 = family_chsh_bounds(0.5, p[None, :])
-        assert lo.shape == (1,) and lo[0] == lo1[0] and up[0] == up1[0]
+        for width in (14, 6):
+            p = np.random.default_rng(55).uniform(0, 2 * math.pi, width)
+            lo, up = family_chsh_bounds(0.5, p)
+            lo1, up1 = family_chsh_bounds(0.5, p[None, :])
+            assert lo.shape == (1,) and lo[0] == lo1[0] and up[0] == up1[0]
 
     def test_block_slices_and_single_rows_bitwise(self):
         # optimizer._in_blocks evaluates large batches 1000 rows at a time
@@ -345,26 +366,22 @@ class TestOptimalSettings:
                                        math.pi / 2])
     def test_rebuilt_settings_reach_the_brute_force_max(self, alpha):
         b = self.bases(alpha)
-        f, g = outcome_terms(alpha, batched_columns(b))
+        g = outcome_terms(alpha, batched_columns(b))[1]
         best = self.brute_force_max(g)
         reduced = 2 * np.linalg.norm(_best_sums(g), axis=0).sum(axis=0)
         assert np.max(np.abs(reduced - best)) <= 1e-14
-        terms = _optimal_settings(alpha, b)
-        assert terms[0].tobytes() == f.tobytes()
-        assert terms[1].tobytes() == g.tobytes()
-        assert np.max(np.abs(np.linalg.norm(terms[2], axis=0) - 1.0)) <= 1e-15
-        lower, _ = family_chsh_bounds(alpha, b.T, terms=terms)
+        n = _optimal_settings(alpha, b)
+        assert n.shape == (3, 4, self.N_BASES)
+        assert np.max(np.abs(np.linalg.norm(n, axis=0) - 1.0)) <= 1e-15
+        # a 6-column row reads L = -4 + 2 Psi off the norm table
+        lower, _ = family_chsh_bounds(alpha, b.T)
         assert np.max(np.abs(lower - (-4.0 + best))) <= 1e-14
-        # the C-flip of the same settings gives U = -L
-        _, upper = family_chsh_bounds(alpha, b.T, terms=c_flip(terms))
-        assert np.max(np.abs(upper + lower)) <= 1e-14
 
     @pytest.mark.parametrize("alpha", [0.0, 0.3, math.pi / 4, 1.2,
                                        math.pi / 2])
     def test_no_random_settings_do_better(self, alpha):
         b = self.bases(alpha)
-        lower = family_chsh_bounds(alpha, b.T,
-                                   terms=_optimal_settings(alpha, b))[0]
+        lower, upper = family_chsh_bounds(alpha, b.T)
         rng = np.random.default_rng(7)
         trials = 500
         for start in range(0, self.N_BASES, 100):  # 50000 rows per call
@@ -375,77 +392,53 @@ class TestOptimalSettings:
             assert np.all(lo.reshape(100, trials).max(axis=1)
                           <= lower[start:start + 100] + 1e-14)
             assert np.all(up.reshape(100, trials).min(axis=1)
-                          >= -lower[start:start + 100] - 1e-14)
+                          >= upper[start:start + 100] - 1e-14)
 
     def test_batch_equals_single_rows_bitwise(self):
-        b = self.bases(0.7)[:, :300]
-        terms = _optimal_settings(0.7, b)
-        window = family_chsh_bounds(0.7, b.T, terms=terms)
-        flipped = family_chsh_bounds(0.7, b.T, terms=c_flip(terms))
-        for k in range(0, 300, 13):
-            row = b[:, k:k + 1]
-            one = _optimal_settings(0.7, row)
-            for t1, t in zip(one, terms):
-                assert t1[..., 0].tobytes() == t[..., k].tobytes()
-            for t1, whole in ((one, window), (c_flip(one), flipped)):
-                lo, up = family_chsh_bounds(0.7, row.T, terms=t1)
-                assert lo[0] == whole[0][k] and up[0] == whole[1][k]
-
-    @pytest.mark.parametrize("alpha", [0.0, 0.3, math.pi / 4, 1.2,
-                                       math.pi / 2])
-    def test_shared_terms_give_the_same_window_bitwise(self, alpha):
-        # the kernel's terms route on its own charts' (f, g, n) is the
-        # angle route, bit for bit, in one batch and row by row
-        p = np.random.default_rng(8).uniform(-2.0, 8.0, (300, 14))
-        for rows in (p, *(p[k:k + 1] for k in range(0, 300, 13))):
-            pt = np.ascontiguousarray(rows.T)
-            terms = (*outcome_terms(alpha, batched_columns(pt[8:])),
-                     np.array(bloch_vectors(pt[0:8:2], pt[1:8:2])))
-            shared = family_chsh_bounds(alpha, rows[:, 8:], terms=terms)
-            own = family_chsh_bounds(alpha, rows)
-            assert [w.tobytes() for w in shared] == \
-                [w.tobytes() for w in own]
+        # optimizer._in_blocks scores large batches 1000 rows at a time
+        rows = np.random.default_rng(56).uniform(-2.0, 8.0, (2500, 6))
+        lo_all, up_all = family_chsh_bounds(0.7, rows)
+        assert up_all.tobytes() == (-lo_all).tobytes()
+        for start in range(0, 2500, 1000):
+            lo, up = family_chsh_bounds(0.7, rows[start:start + 1000])
+            assert lo.tobytes() == lo_all[start:start + 1000].tobytes()
+            assert up.tobytes() == up_all[start:start + 1000].tobytes()
+        for k in range(0, 2500, 37):
+            lo, up = family_chsh_bounds(0.7, rows[k])
+            assert lo[0] == lo_all[k] and up[0] == up_all[k]
 
     @pytest.mark.parametrize("alpha", [0.0, 0.3, math.pi / 4, 1.2,
                                        math.pi / 2])
     def test_vector_and_angle_paths_agree(self, alpha):
-        # the sweep scores a trial on its unit vectors and prints the
-        # winner's Bloch angles; both read the same window to 1e-14
+        # the sweep scores a trial basis on the norm table and prints its
+        # winner's Bloch angles: the kernel at the angles of the rebuilt
+        # unit vectors reads the table's L, and at their C-flip its U
         b = self.bases(alpha)[:, :500]
-        for terms in (_optimal_settings(alpha, b),
-                      c_flip(_optimal_settings(alpha, b))):
-            vec = family_chsh_bounds(alpha, b.T, terms=terms)
-            ang = family_chsh_bounds(alpha, params_of(terms, b))
-            for v, a in zip(vec, ang):
-                assert np.max(np.abs(v - a)) <= 1e-14
+        lower, upper = family_chsh_bounds(alpha, b.T)
+        n = _optimal_settings(alpha, b)
+        lo = family_chsh_bounds(alpha, params_of(n, b))[0]
+        up = family_chsh_bounds(alpha, params_of(c_flip(n), b))[1]
+        assert np.max(np.abs(lo - lower)) <= 1e-14
+        assert np.max(np.abs(up - upper)) <= 1e-14
 
     @pytest.mark.parametrize("alpha", [0.0, 0.3, math.pi / 4, 1.2,
                                        math.pi / 2])
     def test_negated_c_vectors_flip_the_window_bitwise(self, alpha):
-        # c -> -c swaps |a + c| and |a - c| exactly, so (L, U) -> (-U, -L)
+        # c -> -c swaps |a + c| and |a - c|, so (L, U) -> (-U, -L): a
+        # 6-column row's U is -L bit for bit, and the kernel's whole window
+        # at the best settings flips with their C-flip to round-off
         b = self.bases(alpha)[:, :500]
-        terms = _optimal_settings(alpha, b)
-        lo, up = family_chsh_bounds(alpha, b.T, terms=terms)
-        lo_f, up_f = family_chsh_bounds(alpha, b.T, terms=c_flip(terms))
-        assert lo_f.tobytes() == (-up).tobytes()
-        assert up_f.tobytes() == (-lo).tobytes()
-
-    def test_terms_of_another_batch_size_rejected(self):
-        b = self.bases(0.3)[:, :4]
-        f, g, n = _optimal_settings(0.3, b)
-        for terms in ((f[:, :3], g, n), (f, g[:, :, :3], n),
-                      (f, g, n[:, :, :3]), (f, g, n[:, :3]), (f, g, n[:2]),
-                      (g, f, n), (f, g)):
-            with pytest.raises(InvalidInputError, match="terms"):
-                family_chsh_bounds(0.3, b.T, terms=terms)
-        # with terms, params is the (R, 6) bases alone
-        for params in (params_of((f, g, n), b), b.T[:3], b):
-            with pytest.raises(InvalidInputError, match="shape"):
-                family_chsh_bounds(0.3, params, terms=(f, g, n))
+        lower, upper = family_chsh_bounds(alpha, b.T)
+        assert upper.tobytes() == (-lower).tobytes()
+        n = _optimal_settings(alpha, b)
+        lo, up = family_chsh_bounds(alpha, params_of(n, b))
+        lo_f, up_f = family_chsh_bounds(alpha, params_of(c_flip(n), b))
+        assert np.max(np.abs(lo_f + up)) <= 1e-14
+        assert np.max(np.abs(up_f + lo)) <= 1e-14
 
     def test_computational_basis_takes_the_z_axes(self):
         # restart 0 of the sweep: every optimal sum lies on the z axis, and
         # at alpha = 0, where every sum is zero, the z axis is the default
         for alpha in (0.0, 0.4, 1.0, math.pi / 2):
-            n = _optimal_settings(alpha, np.zeros((6, 1)))[2]
+            n = _optimal_settings(alpha, np.zeros((6, 1)))
             assert np.all(n[:2] == 0.0) and np.all(np.abs(n[2]) == 1.0)

@@ -451,7 +451,7 @@ class TestGoldenDigests:
         argv = ["sweep", "--grid", "0:pi/2:5", "--restarts", "3",
                 "--max-iters", "400", "--seed", "7"]
         assert self.digest(capsys, argv) == \
-            "2b4985cc30262c3c3b40ac84f7d2c486ecbef92d04b19bdb9b2084f53e79f896"
+            "8d67571dc1e3324c8cd50555552abb5f88d03e8458c96eee220d04d463712147"
 
     def test_uniqueness(self, capsys):
         argv = ["uniqueness", "--alpha", "0.8", "--samples", "200",
